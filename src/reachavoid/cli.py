@@ -10,14 +10,10 @@ Subcommands:
             families, with multiplicities
   mrr       print barrier and cusp times for one player and write the sampled
             region boundary
-
-The environment variable RA_THREADS caps the worker threads used for region
-grids (grid cells are independent, so the output never depends on it).
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,14 +24,6 @@ from .engine import run
 from .mrr import barrier_time, cusp_time, mrr_boundary
 from .scenario_io import SchemaError
 from .scribe import ScribeMode, scribe_times
-
-
-def _threads() -> int:
-    raw = os.environ.get("RA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load(path: str):
@@ -103,7 +91,7 @@ def cmd_regions(args) -> int:
         resolution = (nx, ny)
     else:
         resolution = doc.render.resolution
-    xs, ys, labels = region_map(cfg, window, resolution, max_workers=_threads())
+    xs, ys, labels = region_map(cfg, window, resolution)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "regions.csv").write_text(scenario_io.regions_to_csv(xs, ys, labels))
@@ -197,8 +185,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

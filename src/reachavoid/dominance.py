@@ -37,10 +37,11 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (Control, PlayerParams, PlayerState, isochron, propagate,
-                       steer_to)
+from .dynamics import (Control, DomainError, InfeasibleTargetError,
+                       PlayerParams, PlayerState, damped_time, isochron,
+                       isochron_xyr, path_xy, propagate, steer_to)
 from .geometry import (Vec2, point_in_polygon, polygon_area)
-from .mrr import CLASSIFY_TOL, mrr_boundary
+from .mrr import CLASSIFY_TOL, merge_roots, mrr_boundary
 from .scribe import (RootSet, ScribeMode, ScribeProblem, reach_times,
                      scribe_times)
 
@@ -130,21 +131,6 @@ class CaptureBoundary:
     # attacker and defender reach-time indices (0 outside the MRR, else 1..3)
     pair_indices: Optional[tuple[np.ndarray, ...]] = None
 
-    def vertex_count(self) -> int:
-        return sum(len(s) for s in self.segments)
-
-
-def _centers_radii(cfg: GameConfig, ts: np.ndarray):
-    mu = cfg.mu
-    s = (1.0 - np.exp(-mu * ts)) / mu
-    ax = cfg.attacker.pos.x + cfg.attacker.vel.x * s
-    ay = cfg.attacker.pos.y + cfg.attacker.vel.y * s
-    dx = cfg.defender.pos.x + cfg.defender.vel.x * s
-    dy = cfg.defender.pos.y + cfg.defender.vel.y * s
-    ra = (cfg.attacker_params.u_max / mu) * (ts - s)
-    rd = (cfg.defender_params.u_max / mu) * (ts - s)
-    return ax, ay, dx, dy, ra, rd
-
 
 def intersection_points(cfg: GameConfig, ts: np.ndarray):
     """Vectorized circle-circle intersections of the two isochrones.
@@ -152,7 +138,9 @@ def intersection_points(cfg: GameConfig, ts: np.ndarray):
     Returns (plus, minus, valid): two (n, 2) arrays of the intersection pair
     and a boolean mask of sweep times where the circles genuinely intersect.
     """
-    ax, ay, dx, dy, ra, rd = _centers_radii(cfg, ts)
+    s = damped_time(cfg.mu, ts)
+    ax, ay, ra = isochron_xyr(cfg.attacker, cfg.attacker_params, ts, s)
+    dx, dy, rd = isochron_xyr(cfg.defender, cfg.defender_params, ts, s)
     ux, uy = dx - ax, dy - ay
     d = np.hypot(ux, uy)
     valid = (d > 0.0) & (d <= ra + rd) & (d >= np.abs(ra - rd))
@@ -242,13 +230,7 @@ def matched_index(roots: RootSet, t: float, alignment: float) -> int:
     (velocity dotted with heading): positive picks the sweeping-outward slot
     {1, 3}, negative the middle slot 2.
     """
-    merged: list[tuple[float, int]] = []
-    for rt, m in zip(roots.times, roots.multiplicities):
-        if merged and rt - merged[-1][0] <= CLASSIFY_TOL * (1.0 + rt):
-            pt, pm = merged[-1]
-            merged[-1] = (0.5 * (pt + rt), pm + m)
-        else:
-            merged.append((rt, m))
+    merged = merge_roots(roots)
     total = sum(m for _, m in merged)
     if total <= 1:
         return 0
@@ -274,21 +256,17 @@ def arrival_alignment(state: PlayerState, params: PlayerParams, point: Vec2,
 
 def _annotate_segment(cfg: GameConfig, seg: BoundarySegment) -> np.ndarray:
     pairs = np.zeros((len(seg), 2), dtype=int)
+    players = ((cfg.attacker, cfg.attacker_params),
+               (cfg.defender, cfg.defender_params))
     for i in range(len(seg)):
         p = Vec2(float(seg.points[i, 0]), float(seg.points[i, 1]))
         t = float(seg.params[i])
-        ta = reach_times(p, cfg.attacker, cfg.attacker_params)
-        td = reach_times(p, cfg.defender, cfg.defender_params)
-        try:
-            sa = arrival_alignment(cfg.attacker, cfg.attacker_params, p, t)
-        except Exception:
-            sa = 0.0
-        try:
-            sd = arrival_alignment(cfg.defender, cfg.defender_params, p, t)
-        except Exception:
-            sd = 0.0
-        pairs[i, 0] = matched_index(ta, t, sa)
-        pairs[i, 1] = matched_index(td, t, sd)
+        for k, (state, params) in enumerate(players):
+            try:
+                align = arrival_alignment(state, params, p, t)
+            except (InfeasibleTargetError, DomainError):
+                align = 0.0
+            pairs[i, k] = matched_index(reach_times(p, state, params), t, align)
     return pairs
 
 
@@ -386,14 +364,8 @@ class R3Component:
     def area(self) -> float:
         return abs(polygon_area(self.polygon))
 
-    def contains(self, point: Vec2, pad: float = 0.0) -> bool:
-        if point_in_polygon((point.x, point.y), self.polygon):
-            return True
-        if pad > 0.0:
-            from .geometry import dist_point_to_polyline
-            ring = np.vstack([self.polygon, self.polygon[:1]])
-            return dist_point_to_polyline((point.x, point.y), ring) <= pad
-        return False
+    def contains(self, point: Vec2) -> bool:
+        return point_in_polygon((point.x, point.y), self.polygon)
 
 
 def _cond1_components(cfg: GameConfig) -> list[R3Component]:
@@ -403,9 +375,8 @@ def _cond1_components(cfg: GameConfig) -> list[R3Component]:
         return []
     t1, t2 = outs[0], outs[1]
     ts = np.linspace(t1, t2, 400)
-    ax, ay, dx, dy, _, rd = _centers_radii(cfg, ts)
-    clearance = np.hypot(ax - dx, ay - dy) - rd
-    if clearance.min() <= 0.0:
+    # the coasting path is the attacker's drift center
+    if clearance_at(cfg, Control(0.0, 0.0), ts).min() <= 0.0:
         return []
     plus, minus, valid = intersection_points(cfg, ts)
     loop = np.vstack([plus[valid], minus[valid][::-1]])
@@ -531,6 +502,16 @@ def r3_certificates(cfg: GameConfig) -> tuple[R3Component, ...]:
 # ---------------------------------------------------------------------------
 # point classification and region maps
 
+def clearance_at(cfg: GameConfig, ctrl: Control, t):
+    """Distance at time t (a float or an array) from the attacker's path under
+    `ctrl` to the defender's reachable disc; negative where interceptable."""
+    s = damped_time(cfg.mu, t)
+    px, py = path_xy(cfg.attacker, cfg.attacker_params, ctrl, t, s)
+    dx, dy, rd = isochron_xyr(cfg.defender, cfg.defender_params, t, s)
+    hypot = np.hypot if isinstance(t, np.ndarray) else math.hypot
+    return hypot(px - dx, py - dy) - rd
+
+
 def trajectory_clearance(cfg: GameConfig, ctrl: Control, t_end: float,
                          samples: int = SAFETY_SAMPLES) -> float:
     """Min over sampled times of attacker-path distance to the defender disc.
@@ -538,38 +519,43 @@ def trajectory_clearance(cfg: GameConfig, ctrl: Control, t_end: float,
     Positive means the straight saturated run to t_end is never interceptable
     at the sampled resolution.
     """
-    mu = cfg.mu
     ts = np.linspace(t_end / samples, t_end, samples)
-    s = (1.0 - np.exp(-mu * ts)) / mu
-    hx, hy = math.cos(ctrl.theta), math.sin(ctrl.theta)
-    amp = ctrl.u / mu
-    px = cfg.attacker.pos.x + cfg.attacker.vel.x * s + amp * (ts - s) * hx
-    py = cfg.attacker.pos.y + cfg.attacker.vel.y * s + amp * (ts - s) * hy
-    dx = cfg.defender.pos.x + cfg.defender.vel.x * s
-    dy = cfg.defender.pos.y + cfg.defender.vel.y * s
-    rd = (cfg.defender_params.u_max / mu) * (ts - s)
-    return float((np.hypot(px - dx, py - dy) - rd).min())
+    return float(clearance_at(cfg, ctrl, ts).min())
 
 
-def _adr_indices(ta_exp: list[float], td_exp: list[float], tol: float) -> list[int]:
-    """Attacker root positions that win the race outright or hit the gap."""
-    min_td = td_exp[0]
-    wins = []
-    for i, t in enumerate(ta_exp):
-        if t < min_td - tol:
-            wins.append(i)
-        elif len(td_exp) >= 3 and td_exp[1] + tol < t < td_exp[2] - tol:
-            wins.append(i)
-    return wins
+def race(cfg: GameConfig, point: Vec2) -> tuple[RootSet, RootSet, float, list[float]]:
+    """(attacker roots, defender roots, merge tolerance, winning attacker times)
+    at `point`.  An attacker time wins before the defender's first arrival or
+    inside the defender's gap (t_D2, t_D3), when the defender cannot be there."""
+    ta = reach_times(point, cfg.attacker, cfg.attacker_params)
+    td = reach_times(point, cfg.defender, cfg.defender_params)
+    ta_exp, td_exp = ta.expanded(), td.expanded()
+    tol = CLASSIFY_TOL * (1.0 + min(ta_exp[0], td_exp[0]))
+    wins = [t for t in ta_exp if t < td_exp[0] - tol
+            or (len(td_exp) >= 3 and td_exp[1] + tol < t < td_exp[2] - tol)]
+    return ta, td, tol, wins
+
+
+def safe_straight_run(cfg: GameConfig, point: Vec2,
+                      times: list[float]) -> Optional[Control]:
+    """Control of the first never-interceptable straight run to `point`,
+    trying the positive arrival `times` in order; None when there is none."""
+    for t in times:
+        if t <= 0.0:
+            continue
+        try:
+            ctrl = steer_to(cfg.attacker, cfg.attacker_params, point, t)
+        except (InfeasibleTargetError, DomainError):
+            continue
+        if trajectory_clearance(cfg, ctrl, t) > 0.0:
+            return ctrl
+    return None
 
 
 def classify_point(cfg: GameConfig, point: Vec2) -> RegionLabel:
     """Region label of a single point (see module docstring for the zoo)."""
-    ta = reach_times(point, cfg.attacker, cfg.attacker_params)
-    td = reach_times(point, cfg.defender, cfg.defender_params)
-    ta_exp = ta.expanded()
-    td_exp = td.expanded()
-    tol = CLASSIFY_TOL * (1.0 + min(ta_exp[0], td_exp[0]))
+    ta, td, tol, wins = race(cfg, point)
+    ta_exp, td_exp = ta.expanded(), td.expanded()
 
     _, inn = tangency_windows(cfg)
     for t_a in ta_exp:
@@ -578,21 +564,13 @@ def classify_point(cfg: GameConfig, point: Vec2) -> RegionLabel:
             # post-game geometry, not part of the capture boundary
             if abs(t_a - t_d) <= tol and t_a <= inn.first + tol:
                 return RegionLabel.BOUNDARY_L
-    if _has_double(ta) or _has_double(td):
+    if any(m >= 2 for roots in (ta, td) for _, m in merge_roots(roots)):
         return RegionLabel.BOUNDARY_MRR
 
-    wins = _adr_indices(ta_exp, td_exp, tol)
     if wins:
-        for i in wins:
-            t_a = ta_exp[i]
-            if t_a <= 0.0:
-                return RegionLabel.R_I
-            try:
-                ctrl = steer_to(cfg.attacker, cfg.attacker_params, point, t_a)
-            except Exception:
-                continue
-            if trajectory_clearance(cfg, ctrl, t_a) > 0.0:
-                return RegionLabel.R_I
+        # an arrival at t = 0 means the attacker already stands on the point
+        if wins[0] <= 0.0 or safe_straight_run(cfg, point, wins) is not None:
+            return RegionLabel.R_I
         return RegionLabel.R_II
 
     if len(td_exp) >= 3 and td_exp[0] + tol < ta_exp[0] < td_exp[1] - tol:
@@ -602,22 +580,11 @@ def classify_point(cfg: GameConfig, point: Vec2) -> RegionLabel:
     return RegionLabel.DEFENDER_DOMINATED
 
 
-def _has_double(roots: RootSet) -> bool:
-    if any(m >= 2 for m in roots.multiplicities):
-        return True
-    exp = roots.expanded()
-    return any(b - a <= CLASSIFY_TOL * (1.0 + b)
-               for a, b in zip(exp[:-1], exp[1:]))
-
-
 def region_map(cfg: GameConfig, window: tuple[float, float, float, float],
-               resolution: tuple[int, int],
-               max_workers: int = 1) -> tuple[np.ndarray, np.ndarray, list[list[RegionLabel]]]:
+               resolution: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, list[list[RegionLabel]]]:
     """Classify a uniform grid over `window` = (xmin, xmax, ymin, ymax).
 
     Returns (xs, ys, labels) with labels indexed [row][col] = [y][x].
-    Rows are independent, so they may be evaluated by a small thread pool;
-    the result does not depend on the worker count.
     """
     nx, ny = resolution
     if nx < 2 or ny < 2:
@@ -627,15 +594,6 @@ def region_map(cfg: GameConfig, window: tuple[float, float, float, float],
         raise ValueError("window must have positive extent")
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
-    r3_certificates(cfg)  # warm the cache before any parallel evaluation
-
-    def row(j: int) -> list[RegionLabel]:
-        return [classify_point(cfg, Vec2(float(x), float(ys[j]))) for x in xs]
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            labels = list(pool.map(row, range(ny)))
-    else:
-        labels = [row(j) for j in range(ny)]
+    labels = [[classify_point(cfg, Vec2(float(x), float(y))) for x in xs]
+              for y in ys]
     return xs, ys, labels

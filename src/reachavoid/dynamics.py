@@ -80,21 +80,31 @@ class Isochron:
     center: Vec2
     radius: float
 
-    def contains(self, point: Vec2, slack: float = 0.0) -> bool:
-        return (point - self.center).norm() <= self.radius + slack
-
 
 def damped_time(mu: float, t):
     """The damped clock s(t) = (1 - exp(-mu t)) / mu; saturates at 1/mu.
 
-    Accepts scalars or numpy arrays.
+    Floats use math.exp and numpy arrays np.exp, which differ in the last bit
+    on a few percent of inputs; results are reproducible for either, not
+    across them.
     """
-    return (1.0 - np.exp(-mu * t)) / mu
+    exp = np.exp if isinstance(t, np.ndarray) else math.exp
+    return (1.0 - exp(-mu * t)) / mu
 
 
-def radius_ramp(mu: float, t):
-    """t - s(t): the isochron radius per unit of u_max/mu."""
-    return t - damped_time(mu, t)
+def isochron_xyr(state: PlayerState, params: PlayerParams, t, s):
+    """Isochron center x, y and radius at time t (a float or an array), given
+    its damped clock s = damped_time(params.mu, t), which callers share."""
+    return (state.pos.x + state.vel.x * s, state.pos.y + state.vel.y * s,
+            (params.u_max / params.mu) * (t - s))
+
+
+def path_xy(state: PlayerState, params: PlayerParams, ctrl: Control, t, s):
+    """Position x, y at time t under a constant control; t and s as above."""
+    amp = ctrl.u / params.mu
+    hx, hy = math.cos(ctrl.theta), math.sin(ctrl.theta)
+    return (state.pos.x + state.vel.x * s + amp * (t - s) * hx,
+            state.pos.y + state.vel.y * s + amp * (t - s) * hy)
 
 
 def propagate(state: PlayerState, params: PlayerParams, ctrl: Control,
@@ -115,19 +125,15 @@ def propagate(state: PlayerState, params: PlayerParams, ctrl: Control,
     d = ctrl.heading()
     vel = Vec2(state.vel.x * decay + a * (1.0 - decay) * d.x,
                state.vel.y * decay + a * (1.0 - decay) * d.y)
-    pos = Vec2(state.pos.x + state.vel.x * s + a * (t - s) * d.x,
-               state.pos.y + state.vel.y * s + a * (t - s) * d.y)
-    return PlayerState(pos, vel)
+    return PlayerState(Vec2(*path_xy(state, params, ctrl, t, s)), vel)
 
 
 def isochron(state: PlayerState, params: PlayerParams, t: float) -> Isochron:
     """Reachable circle at time t: drift-point center, saturated-thrust radius."""
     if t < 0.0:
         raise DomainError(f"isochron time must be >= 0, got {t}")
-    mu = params.mu
-    s = (1.0 - math.exp(-mu * t)) / mu
-    center = Vec2(state.pos.x + state.vel.x * s, state.pos.y + state.vel.y * s)
-    return Isochron(t=t, center=center, radius=(params.u_max / mu) * (t - s))
+    cx, cy, radius = isochron_xyr(state, params, t, damped_time(params.mu, t))
+    return Isochron(t=t, center=Vec2(cx, cy), radius=radius)
 
 
 def steer_to(state: PlayerState, params: PlayerParams, target: Vec2,
@@ -158,9 +164,3 @@ def steer_to(state: PlayerState, params: PlayerParams, target: Vec2,
     u = min(params.u_max * dist / circ.radius, params.u_max)
     theta = offset.angle() if dist > 0.0 else 0.0
     return Control(u, theta)
-
-
-def speed_bound(params: PlayerParams, v0: float, t: float) -> float:
-    """Upper envelope of the speed at time t from initial speed v0."""
-    decay = math.exp(-params.mu * t)
-    return v0 * decay + params.speed_cap * (1.0 - decay)

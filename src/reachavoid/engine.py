@@ -15,12 +15,13 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .dynamics import Control, InfeasibleTargetError, PlayerState, propagate
+from .dynamics import (Control, InfeasibleTargetError, PlayerState, propagate,
+                       steer_to)
 from .dominance import GameConfig
 from .geometry import Vec2
-from .strategies import (AttackerWinsError, PLAN_SWITCH_MARGIN, best_r3_point,
-                         can_reach_target, choose_plan, first_unsafe_crossing,
-                         pure_pursuit, steer_to)
+from .strategies import (AttackerWinsError, PLAN_SWITCH_MARGIN, TerminalPlan,
+                         best_r3_point, can_reach_target, choose_plan,
+                         first_unsafe_crossing, pure_pursuit)
 
 EVENT_REFINE_TOL = 1e-6
 DETECT_SUBSTEPS = 8
@@ -117,147 +118,146 @@ PLAN_JUMP_DIST = 0.02
 
 @dataclass
 class _PlanTracker:
-    """Shared per-run state for the equal-time plan and the region plan."""
+    """Per-run state shared by the policies of both players."""
 
     point: Optional[Vec2] = None
-    plan: Optional[object] = None
+    plan: Optional[TerminalPlan] = None
     mrr_target: Optional[tuple[Vec2, float]] = None
     mrr_failed: bool = False
-    prev_heading_a: float = 0.0
-    prev_heading_d: float = 0.0
+    # last applied heading per player, kept by pure pursuit at a standstill
+    heading: dict = field(default_factory=lambda: {"attacker": 0.0,
+                                                   "defender": 0.0})
     target_mode: bool = False
     switches: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
 
 
-def _strategy_plan(cfg: GameConfig, sc: Scenario, t: float, tracker: _PlanTracker):
-    plan = choose_plan(cfg, tracker.point, switch_margin=sc.plan_switch_margin)
-    if tracker.point is not None \
-            and (plan.point - tracker.point).norm() > PLAN_JUMP_DIST:
-        tracker.switches.append((t, plan.point))
-    tracker.point = plan.point
-    tracker.plan = plan
-    return plan
+def _plan(cfg: GameConfig, sc: Scenario, t: float,
+          tracker: _PlanTracker) -> TerminalPlan:
+    """This step's equal-time plan, computed once and shared by both players."""
+    if tracker.plan is None:
+        plan = choose_plan(cfg, tracker.point, switch_margin=sc.plan_switch_margin)
+        if tracker.point is not None \
+                and (plan.point - tracker.point).norm() > PLAN_JUMP_DIST:
+            tracker.switches.append((t, plan.point))
+        tracker.point = plan.point
+        tracker.plan = plan
+    return tracker.plan
 
 
-def _attacker_control(cfg: GameConfig, sc: Scenario, t: float,
-                      tracker: _PlanTracker, notes: list[str]) -> Control:
-    pol = sc.attacker_policy
-    if pol is AttackerPolicy.CONSTANT:
-        return sc.constant_ctrl
-    # state-feedback target check: grab the target outright once it is safe
-    direct = can_reach_target(cfg)
-    if direct is not None:
-        if not tracker.target_mode:
-            notes.append(f"t={t:.6f} attacker switches to target run")
-            tracker.target_mode = True
-        tracker.prev_heading_a = direct.theta
-        return direct
-    tracker.target_mode = False
-    if pol is AttackerPolicy.PURE_PURSUIT:
-        ctrl = pure_pursuit(cfg, "attacker", tracker.prev_heading_a)
-        tracker.prev_heading_a = ctrl.theta
-        return ctrl
-    if pol is AttackerPolicy.MRR:
-        if tracker.mrr_target is None and not tracker.mrr_failed:
-            picked = best_r3_point(cfg)
-            if picked is None:
-                tracker.mrr_failed = True
-                notes.append("no certified third-region component; "
-                             "attacker falls back to the equal-time plan")
-            else:
-                point, t_d2, _ = picked
-                tracker.mrr_target = (point, t + t_d2)
-                notes.append(f"t={t:.6f} region strategy locks point "
-                             f"({point.x:.6f}, {point.y:.6f}) "
-                             f"for arrival at {t + t_d2:.6f}")
-        if tracker.mrr_target is not None:
-            point, t_arr = tracker.mrr_target
-            t_go = t_arr - t
-            if t_go > 1e-9:
-                try:
-                    ctrl = steer_to(cfg.attacker, cfg.attacker_params, point, t_go)
-                    tracker.prev_heading_a = ctrl.theta
-                    return ctrl
-                except InfeasibleTargetError:
-                    notes.append(f"t={t:.6f} region point infeasible; "
-                                 "pure pursuit for this step")
-            ctrl = pure_pursuit(cfg, "attacker", tracker.prev_heading_a)
-            tracker.prev_heading_a = ctrl.theta
-            return ctrl
-    # strategy one (also the MRR fallback)
-    try:
-        plan = tracker.plan if tracker.plan is not None else _strategy_plan(cfg, sc, t, tracker)
-        tracker.prev_heading_a = plan.attacker_ctrl.theta
-        return plan.attacker_ctrl
-    except (AttackerWinsError, InfeasibleTargetError) as exc:
-        notes.append(f"t={t:.6f} attacker plan failed ({exc}); pure pursuit")
-        ctrl = pure_pursuit(cfg, "attacker", tracker.prev_heading_a)
-        tracker.prev_heading_a = ctrl.theta
-        return ctrl
+# Policies map (cfg, scenario, t, tracker[, attacker control]) to a control,
+# or to None for pure pursuit this step.  A failed equal-time plan raises
+# AttackerWinsError or InfeasibleTargetError, which `_act` turns into a note
+# and pure pursuit.
+
+def _pursue(*_) -> None:
+    return None
 
 
-def _defender_control(cfg: GameConfig, sc: Scenario, t: float,
-                      attacker_ctrl: Control, tracker: _PlanTracker,
-                      notes: list[str]) -> Control:
-    pol = sc.defender_policy
-    if pol is DefenderPolicy.PURE_PURSUIT:
-        ctrl = pure_pursuit(cfg, "defender", tracker.prev_heading_d)
-        tracker.prev_heading_d = ctrl.theta
-        return ctrl
-    if pol is DefenderPolicy.MATCH_MRR:
-        if tracker.mrr_target is not None:
-            point, t_arr = tracker.mrr_target
-            t_go = t_arr - t
-            if t_go > 1e-9:
-                try:
-                    ctrl = steer_to(cfg.defender, cfg.defender_params, point, t_go)
-                    tracker.prev_heading_d = ctrl.theta
-                    return ctrl
-                except InfeasibleTargetError:
-                    pass
-        ctrl = pure_pursuit(cfg, "defender", tracker.prev_heading_d)
-        tracker.prev_heading_d = ctrl.theta
-        return ctrl
-    if pol is DefenderPolicy.INTERCEPT_R3:
-        horizon = None
-        if tracker.plan is not None:
-            horizon = tracker.plan.t_f
+def _attacker_plan(cfg, sc, t, tracker) -> Control:
+    return _plan(cfg, sc, t, tracker).attacker_ctrl
+
+
+def _attacker_region(cfg, sc, t, tracker) -> Optional[Control]:
+    if tracker.mrr_target is None and not tracker.mrr_failed:
+        picked = best_r3_point(cfg)
+        if picked is None:
+            tracker.mrr_failed = True
+            tracker.notes.append("no certified third-region component; "
+                                 "attacker falls back to the equal-time plan")
         else:
-            try:
-                plan = _strategy_plan(cfg, sc, t, tracker)
-                horizon = plan.t_f
-            except (AttackerWinsError, InfeasibleTargetError):
-                horizon = sc.horizon - t
-        crossing = first_unsafe_crossing(cfg, attacker_ctrl, horizon)
-        if crossing is not None:
-            point, tau = crossing
-            try:
-                ctrl = steer_to(cfg.defender, cfg.defender_params, point, tau)
-                tracker.prev_heading_d = ctrl.theta
-                return ctrl
-            except InfeasibleTargetError:
-                notes.append(f"t={t:.6f} intercept point infeasible; "
-                             "pure pursuit for this step")
-                ctrl = pure_pursuit(cfg, "defender", tracker.prev_heading_d)
-                tracker.prev_heading_d = ctrl.theta
-                return ctrl
-        # no interceptable stretch: behave like the equal-time plan
-        if tracker.plan is not None:
-            tracker.prev_heading_d = tracker.plan.defender_ctrl.theta
-            return tracker.plan.defender_ctrl
-        ctrl = pure_pursuit(cfg, "defender", tracker.prev_heading_d)
-        tracker.prev_heading_d = ctrl.theta
-        return ctrl
-    # strategy one
+            point, t_d2, _ = picked
+            tracker.mrr_target = (point, t + t_d2)
+            tracker.notes.append(f"t={t:.6f} region strategy locks point "
+                                 f"({point.x:.6f}, {point.y:.6f}) "
+                                 f"for arrival at {t + t_d2:.6f}")
+    if tracker.mrr_target is None:
+        return _attacker_plan(cfg, sc, t, tracker)
+    point, t_arr = tracker.mrr_target
+    if t_arr - t <= 1e-9:
+        return None
     try:
-        plan = tracker.plan if tracker.plan is not None else _strategy_plan(cfg, sc, t, tracker)
-        tracker.prev_heading_d = plan.defender_ctrl.theta
-        return plan.defender_ctrl
+        return steer_to(cfg.attacker, cfg.attacker_params, point, t_arr - t)
+    except InfeasibleTargetError:
+        tracker.notes.append(f"t={t:.6f} region point infeasible; "
+                             "pure pursuit for this step")
+        return None
+
+
+def _target_run_first(policy):
+    """Grab the target outright once a safe straight run exists (state feedback)."""
+    def target_or_policy(cfg, sc, t, tracker) -> Optional[Control]:
+        direct = can_reach_target(cfg)
+        if direct is None:
+            tracker.target_mode = False
+            return policy(cfg, sc, t, tracker)
+        if not tracker.target_mode:
+            tracker.notes.append(f"t={t:.6f} attacker switches to target run")
+            tracker.target_mode = True
+        return direct
+    return target_or_policy
+
+
+def _defender_plan(cfg, sc, t, tracker, attacker_ctrl) -> Control:
+    return _plan(cfg, sc, t, tracker).defender_ctrl
+
+
+def _defender_match(cfg, sc, t, tracker, attacker_ctrl) -> Optional[Control]:
+    if tracker.mrr_target is None:
+        return None
+    point, t_arr = tracker.mrr_target
+    if t_arr - t <= 1e-9:
+        return None
+    try:
+        return steer_to(cfg.defender, cfg.defender_params, point, t_arr - t)
+    except InfeasibleTargetError:
+        return None
+
+
+def _defender_intercept(cfg, sc, t, tracker, attacker_ctrl) -> Optional[Control]:
+    try:
+        horizon = _plan(cfg, sc, t, tracker).t_f
+    except (AttackerWinsError, InfeasibleTargetError):
+        horizon = sc.horizon - t
+    crossing = first_unsafe_crossing(cfg, attacker_ctrl, horizon)
+    if crossing is None:
+        # no interceptable stretch: behave like the equal-time plan
+        return None if tracker.plan is None else tracker.plan.defender_ctrl
+    point, tau = crossing
+    try:
+        return steer_to(cfg.defender, cfg.defender_params, point, tau)
+    except InfeasibleTargetError:
+        tracker.notes.append(f"t={t:.6f} intercept point infeasible; "
+                             "pure pursuit for this step")
+        return None
+
+
+_ATTACKER_POLICIES = {
+    AttackerPolicy.STRATEGY_I: _target_run_first(_attacker_plan),
+    AttackerPolicy.PURE_PURSUIT: _target_run_first(_pursue),
+    AttackerPolicy.MRR: _target_run_first(_attacker_region),
+    AttackerPolicy.CONSTANT: lambda cfg, sc, t, tracker: sc.constant_ctrl,
+}
+_DEFENDER_POLICIES = {
+    DefenderPolicy.STRATEGY_I: _defender_plan,
+    DefenderPolicy.PURE_PURSUIT: _pursue,
+    DefenderPolicy.INTERCEPT_R3: _defender_intercept,
+    DefenderPolicy.MATCH_MRR: _defender_match,
+}
+
+
+def _act(who: str, policy, cfg: GameConfig, sc: Scenario, t: float,
+         tracker: _PlanTracker, *args) -> Control:
+    """Run one player's policy; pure pursuit when it fails or declines."""
+    try:
+        ctrl = policy(cfg, sc, t, tracker, *args)
     except (AttackerWinsError, InfeasibleTargetError) as exc:
-        notes.append(f"t={t:.6f} defender plan failed ({exc}); pure pursuit")
-        ctrl = pure_pursuit(cfg, "defender", tracker.prev_heading_d)
-        tracker.prev_heading_d = ctrl.theta
-        return ctrl
+        tracker.notes.append(f"t={t:.6f} {who} plan failed ({exc}); pure pursuit")
+        ctrl = None
+    if ctrl is None:
+        ctrl = pure_pursuit(cfg, who, tracker.heading[who])
+    tracker.heading[who] = ctrl.theta
+    return ctrl
 
 
 def _event_time(cfg: GameConfig, a: PlayerState, d: PlayerState,
@@ -295,47 +295,37 @@ def run(sc: Scenario) -> GameTrace:
     a, d = cfg.attacker, cfg.defender
     t = 0.0
     tracker = _PlanTracker()
-    notes: list[str] = []
     rows: list[TraceRow] = []
 
     dist_ad, dist_at = _dists(cfg, a, d)
     if dist_ad <= sc.eps_capture:
         outcome = Outcome(OutcomeKind.CAPTURED, 0.0, dist_at, a.pos)
-        return GameTrace(sc, (), outcome, tuple(notes))
+        return GameTrace(sc, (), outcome)
     if dist_at <= sc.eps_target:
         outcome = Outcome(OutcomeKind.TARGET_REACHED, 0.0, dist_at, a.pos)
-        return GameTrace(sc, (), outcome, tuple(notes))
+        return GameTrace(sc, (), outcome)
 
-    while t < sc.horizon - 1e-12:
+    # a step without a terminal event leaves the outcome at TIMEOUT
+    kind = OutcomeKind.TIMEOUT
+    while kind is OutcomeKind.TIMEOUT and t < sc.horizon - 1e-12:
         step_cfg = replace(cfg, attacker=a, defender=d)
         tracker.plan = None
-        ctrl_a = _attacker_control(step_cfg, sc, t, tracker, notes)
-        ctrl_d = _defender_control(step_cfg, sc, t, ctrl_a, tracker, notes)
+        ctrl_a = _act("attacker", _ATTACKER_POLICIES[sc.attacker_policy],
+                      step_cfg, sc, t, tracker)
+        ctrl_d = _act("defender", _DEFENDER_POLICIES[sc.defender_policy],
+                      step_cfg, sc, t, tracker, ctrl_a)
         if not rows:
-            dist_ad, dist_at = _dists(cfg, a, d)
             rows.append(TraceRow(t, a, d, ctrl_a, ctrl_d, dist_ad, dist_at))
         dt = min(sc.dt, sc.horizon - t)
-        event = _event_time(step_cfg, a, d, ctrl_a, ctrl_d, dt,
-                            sc.eps_capture, sc.eps_target)
-        if event is not None:
-            h, kind = event
-            a = propagate(a, cfg.attacker_params, ctrl_a, h)
-            d = propagate(d, cfg.defender_params, ctrl_d, h)
-            t += h
-            dist_ad, dist_at = _dists(cfg, a, d)
-            rows.append(TraceRow(t, a, d, ctrl_a, ctrl_d, dist_ad, dist_at))
-            outcome = Outcome(kind, t, dist_at, a.pos)
-            return GameTrace(sc, tuple(rows), outcome, tuple(notes),
-                             tuple(tracker.switches))
-        a = propagate(a, cfg.attacker_params, ctrl_a, dt)
-        d = propagate(d, cfg.defender_params, ctrl_d, dt)
-        t += dt
+        h, kind = _event_time(step_cfg, a, d, ctrl_a, ctrl_d, dt, sc.eps_capture,
+                              sc.eps_target) or (dt, OutcomeKind.TIMEOUT)
+        a = propagate(a, cfg.attacker_params, ctrl_a, h)
+        d = propagate(d, cfg.defender_params, ctrl_d, h)
+        t += h
         dist_ad, dist_at = _dists(cfg, a, d)
         rows.append(TraceRow(t, a, d, ctrl_a, ctrl_d, dist_ad, dist_at))
-    dist_ad, dist_at = _dists(cfg, a, d)
-    outcome = Outcome(OutcomeKind.TIMEOUT, t, dist_at, a.pos)
-    return GameTrace(sc, tuple(rows), outcome, tuple(notes),
-                     tuple(tracker.switches))
+    return GameTrace(sc, tuple(rows), Outcome(kind, t, dist_at, a.pos),
+                     tuple(tracker.notes), tuple(tracker.switches))
 
 
 @dataclass(frozen=True)

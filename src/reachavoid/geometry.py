@@ -21,12 +21,6 @@ def wrap_angle(theta: float) -> float:
     return th + TWO_PI if th < 0.0 else th
 
 
-def angle_distance(a: float, b: float) -> float:
-    """Shortest angular distance between two headings."""
-    d = abs(wrap_angle(a) - wrap_angle(b))
-    return min(d, TWO_PI - d)
-
-
 @dataclass(frozen=True)
 class Vec2:
     x: float
@@ -55,9 +49,6 @@ class Vec2:
     def dot(self, other: "Vec2") -> float:
         return self.x * other.x + self.y * other.y
 
-    def cross(self, other: "Vec2") -> float:
-        return self.x * other.y - self.y * other.x
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
@@ -83,13 +74,6 @@ class Vec2:
     @staticmethod
     def from_polar(r: float, theta: float) -> "Vec2":
         return Vec2(r * math.cos(theta), r * math.sin(theta))
-
-    @staticmethod
-    def of(p) -> "Vec2":
-        if isinstance(p, Vec2):
-            return p
-        x, y = p
-        return Vec2(float(x), float(y))
 
 
 def circle_intersections(c0: Vec2, r0: float, c1: Vec2, r1: float,

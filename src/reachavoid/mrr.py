@@ -172,14 +172,12 @@ def mrr_boundary(state: PlayerState, params: PlayerParams,
     t_i = _branch_params(0.0, t_u, samples, refine_at=t_u)
     t_ii = _branch_params(t_u, t_s, samples, refine_at=t_u)
 
-    branch_i = [(float(t), boundary_point(state, params, float(t), Branch.MINUS))
-                for t in t_i[::-1]]
-    branch_i += [(float(t), boundary_point(state, params, float(t), Branch.PLUS))
-                 for t in t_i]
-    branch_ii = [(float(t), boundary_point(state, params, float(t), Branch.PLUS))
-                 for t in t_ii]
-    branch_ii += [(float(t), boundary_point(state, params, float(t), Branch.MINUS))
-                  for t in t_ii[::-1]]
+    def arc(ts: np.ndarray, branch: Branch) -> list[tuple[float, Vec2]]:
+        return [(float(t), boundary_point(state, params, float(t), branch))
+                for t in ts]
+
+    branch_i = arc(t_i[::-1], Branch.MINUS) + arc(t_i, Branch.PLUS)
+    branch_ii = arc(t_ii, Branch.PLUS) + arc(t_ii[::-1], Branch.MINUS)
     return MrrBoundary(t_s=t_s, t_u=t_u, x_s=x_s, cusps=(cusp_plus, cusp_minus),
                        branch_i=tuple(branch_i), branch_ii=tuple(branch_ii))
 
@@ -192,7 +190,7 @@ def classify(point: Vec2, state: PlayerState, params: PlayerParams) -> ReachClas
     than to SINGLE or TRIPLE.
     """
     roots = reach_times(point, state, params)
-    expanded = _merge(roots)
+    expanded = merge_roots(roots)
     times = tuple(t for t, _ in expanded)
     mults = [m for _, m in expanded]
     if len(expanded) == 1:
@@ -212,7 +210,8 @@ def classify(point: Vec2, state: PlayerState, params: PlayerParams) -> ReachClas
     return ReachClassification(ReachKind.TRIPLE, times)
 
 
-def _merge(roots: RootSet) -> list[tuple[float, int]]:
+def merge_roots(roots: RootSet) -> list[tuple[float, int]]:
+    """(time, multiplicity) pairs with reach times within CLASSIFY_TOL*(1+t) merged."""
     merged: list[tuple[float, int]] = []
     for t, m in zip(roots.times, roots.multiplicities):
         if merged and t - merged[-1][0] <= CLASSIFY_TOL * (1.0 + t):

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import PlayerParams, PlayerState
+from .dynamics import PlayerParams, PlayerState, damped_time
 from .geometry import Vec2
 
 # absolute tolerance on solved times; downstream geometry subtracts nearby times
@@ -261,7 +261,7 @@ def reach_times(point: Vec2, state: PlayerState, params: PlayerParams,
         mu = params.mu
 
         def g_home(t: float) -> float:
-            s = (1.0 - math.exp(-mu * t)) / mu
+            s = damped_time(mu, t)
             return vnorm * s - (params.u_max / mu) * (t - s)
 
         lo = 1e-9 / mu

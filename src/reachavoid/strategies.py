@@ -23,13 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (Control, InfeasibleTargetError, PlayerState,
-                       propagate, steer_to)
-from .dominance import (GameConfig, RegionLabel, arrival_alignment,
-                        boundary_minima, matched_index, r3_certificates,
-                        trajectory_clearance)
+from .dynamics import (Control, InfeasibleTargetError, damped_time, propagate,
+                       steer_to)
+from .dominance import (BoundaryMinimum, GameConfig, RegionLabel,
+                        arrival_alignment, boundary_minima, clearance_at,
+                        matched_index, r3_certificates, race,
+                        safe_straight_run)
 from .geometry import Vec2
-from .mrr import CLASSIFY_TOL
 from .scribe import find_zero, reach_times
 
 # payoff improvement required before a tracked plan jumps to a different dip
@@ -93,7 +93,7 @@ def costate_record(cfg: GameConfig, plan: TerminalPlan, t: Optional[float] = Non
     target_hat = to_target.unit() if to_target.norm() > 0.0 else Vec2(0.0, 0.0)
     lam12 = nu * rel_hat
     gam12 = target_hat - nu * rel_hat
-    ramp = (1.0 - math.exp(-mu * (t_f - t_eval))) / mu
+    ramp = damped_time(mu, t_f - t_eval)
     s_d = arrival_alignment(cfg.defender, cfg.defender_params, plan.point, t_f)
     return CostateRecord(
         lam=(lam12.x, lam12.y, lam12.x * ramp, lam12.y * ramp),
@@ -103,19 +103,9 @@ def costate_record(cfg: GameConfig, plan: TerminalPlan, t: Optional[float] = Non
     )
 
 
-def _typical_adr_times(cfg: GameConfig, point: Vec2):
-    ta = reach_times(point, cfg.attacker, cfg.attacker_params).expanded()
-    td = reach_times(point, cfg.defender, cfg.defender_params).expanded()
-    tol = CLASSIFY_TOL * (1.0 + min(ta[0], td[0]))
-    wins = [t for t in ta if t < td[0] - tol
-            or (len(td) >= 3 and td[1] + tol < t < td[2] - tol)]
-    return ta, td, wins
-
-
 def target_in_adr(cfg: GameConfig) -> bool:
     """True when the attacker out-races the defender to the target itself."""
-    _, _, wins = _typical_adr_times(cfg, cfg.target)
-    return bool(wins)
+    return bool(race(cfg, cfg.target)[3])
 
 
 def plan_for_point(cfg: GameConfig, point: Vec2, t_f: float,
@@ -142,13 +132,7 @@ def strategy_one(cfg: GameConfig, check_h: bool = True) -> TerminalPlan:
     dominance region (the game of kind is already decided), and
     InfeasibleTargetError when no boundary dip exists at all.
     """
-    if target_in_adr(cfg):
-        raise AttackerWinsError(
-            "target is attacker-dominated; steer for the target instead")
-    minima = boundary_minima(cfg)
-    if not minima:
-        raise InfeasibleTargetError("no simultaneous-reach boundary found")
-    best = minima[0]
+    best = _select_minimum(cfg, None, PLAN_SWITCH_MARGIN)
     return plan_for_point(cfg, best.point, best.t, check_h=check_h)
 
 
@@ -163,13 +147,8 @@ def hamiltonian_check(cfg: GameConfig, point: Vec2) -> Optional[bool]:
     """
     ta = reach_times(point, cfg.attacker, cfg.attacker_params)
     td = reach_times(point, cfg.defender, cfg.defender_params)
-    best = None
-    for t_a in ta.expanded():
-        for t_d in td.expanded():
-            gapv = abs(t_a - t_d)
-            if best is None or gapv < best[0]:
-                best = (gapv, t_a, t_d)
-    gapv, t_a, t_d = best
+    gapv, t_a, t_d = min((abs(t_a - t_d), t_a, t_d)
+                         for t_a in ta.expanded() for t_d in td.expanded())
     t_match = 0.5 * (t_a + t_d)
     if gapv > 1e-6 * (1.0 + t_match):
         raise ValueError(f"point is not on the equal-time boundary "
@@ -252,7 +231,7 @@ def apollonius_plan(cfg: GameConfig) -> TerminalPlan:
     mu, u_a = cfg.mu, cfg.attacker_params.u_max
 
     def ramp_gap(t: float) -> float:
-        return (u_a / mu) * (t - (1.0 - math.exp(-mu * t)) / mu) - reach
+        return (u_a / mu) * (t - damped_time(mu, t)) - reach
 
     t_f = find_zero(ramp_gap, 1e-12, None, tol=1e-13,
                     expand_start=1.0 / mu, expand_cap=1e3 / mu)
@@ -269,16 +248,7 @@ def can_reach_target(cfg: GameConfig) -> Optional[Control]:
     disc; None when no such run exists yet.
     """
     roots = reach_times(cfg.target, cfg.attacker, cfg.attacker_params)
-    for t_a in roots.expanded():
-        if t_a <= 0.0:
-            continue
-        try:
-            ctrl = steer_to(cfg.attacker, cfg.attacker_params, cfg.target, t_a)
-        except InfeasibleTargetError:
-            continue
-        if trajectory_clearance(cfg, ctrl, t_a) > 0.0:
-            return ctrl
-    return None
+    return safe_straight_run(cfg, cfg.target, roots.expanded())
 
 
 def first_unsafe_crossing(cfg: GameConfig, ctrl: Control, t_end: float,
@@ -291,32 +261,19 @@ def first_unsafe_crossing(cfg: GameConfig, ctrl: Control, t_end: float,
     """
     if t_end <= 0.0:
         return None
-    mu = cfg.mu
-
-    def clearance(tau: float) -> float:
-        s = (1.0 - math.exp(-mu * tau)) / mu
-        hx, hy = math.cos(ctrl.theta), math.sin(ctrl.theta)
-        amp = ctrl.u / mu
-        px = cfg.attacker.pos.x + cfg.attacker.vel.x * s + amp * (tau - s) * hx
-        py = cfg.attacker.pos.y + cfg.attacker.vel.y * s + amp * (tau - s) * hy
-        dx = cfg.defender.pos.x + cfg.defender.vel.x * s
-        dy = cfg.defender.pos.y + cfg.defender.vel.y * s
-        rd = (cfg.defender_params.u_max / mu) * (tau - s)
-        return math.hypot(px - dx, py - dy) - rd
-
+    clearance = lambda t: clearance_at(cfg, ctrl, t)
     taus = np.linspace(t_end / samples, t_end, samples)
+    # sampled one float at a time (math.exp, math.hypot): a planned run ends
+    # on the capture boundary, where the clearance is zero up to rounding;
+    # numpy's exp and hypot round that zero to the other sign on some steps,
+    # which moves closed-loop intercept games by up to 3e-8
     vals = np.array([clearance(t) for t in taus])
-    for i in range(len(taus) - 1):
-        if vals[i] > 0.0 >= vals[i + 1]:
-            lo, hi = taus[i], taus[i + 1]
-            tau = find_zero(clearance, lo, hi, tol=1e-10) or hi
-            s = (1.0 - math.exp(-mu * tau)) / mu
-            hx, hy = math.cos(ctrl.theta), math.sin(ctrl.theta)
-            amp = ctrl.u / mu
-            p = Vec2(cfg.attacker.pos.x + cfg.attacker.vel.x * s + amp * (tau - s) * hx,
-                     cfg.attacker.pos.y + cfg.attacker.vel.y * s + amp * (tau - s) * hy)
-            return p, tau
-    return None
+    dips = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
+    if len(dips) == 0:
+        return None
+    lo, hi = taus[dips[0]], taus[dips[0] + 1]
+    tau = find_zero(clearance, lo, hi, tol=1e-10) or hi
+    return propagate(cfg.attacker, cfg.attacker_params, ctrl, tau).pos, tau
 
 
 def best_r3_point(cfg: GameConfig) -> Optional[tuple[Vec2, float, Control]]:
@@ -364,6 +321,14 @@ def choose_plan(cfg: GameConfig, previous: Optional[Vec2],
     keeps tracking the dip nearest the previous plan point and jumps to the
     global best only when it improves by `switch_margin`.
     """
+    chosen = _select_minimum(cfg, previous, switch_margin)
+    return plan_for_point(cfg, chosen.point, chosen.t, check_h=False)
+
+
+def _select_minimum(cfg: GameConfig, previous: Optional[Vec2],
+                    switch_margin: float) -> BoundaryMinimum:
+    """The boundary dip to plan for: the one nearest `previous`, unless the
+    best dip beats it by `switch_margin`.  Raises as `strategy_one` does."""
     if target_in_adr(cfg):
         raise AttackerWinsError(
             "target is attacker-dominated; steer for the target instead")
@@ -375,4 +340,4 @@ def choose_plan(cfg: GameConfig, previous: Optional[Vec2],
         tracked = min(minima, key=lambda m: (m.point - previous).norm())
         if minima[0].payoff >= tracked.payoff - switch_margin:
             chosen = tracked
-    return plan_for_point(cfg, chosen.point, chosen.t, check_h=False)
+    return chosen

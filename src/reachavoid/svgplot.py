@@ -12,7 +12,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dominance import GameConfig, RegionLabel
-from .dynamics import isochron
 from .engine import GameTrace
 from .mrr import MrrBoundary
 
@@ -49,23 +48,14 @@ class SvgCanvas:
         self.ys.extend(ys)
 
     def polyline(self, points: Sequence[Sequence[float]], color: str,
-                 width: float = 1.5, dashed: bool = False,
-                 fill: str = "none") -> None:
+                 width: float = 1.5) -> None:
         if len(points) < 2:
             return
         self._track([p[0] for p in points], [p[1] for p in points])
         data = " ".join(f"{_f(p[0])},{_f(p[1])}" for p in points)
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
         self.elements.append(
-            f'<polyline fill="{fill}" stroke="{color}" '
-            f'stroke-width="{_f(width)}"{dash} points="{data}" />')
-
-    def circle(self, cx: float, cy: float, r: float, color: str,
-               fill: str = "none", width: float = 1.0) -> None:
-        self._track([cx - r, cx + r], [cy - r, cy + r])
-        self.elements.append(
-            f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r)}" fill="{fill}" '
-            f'stroke="{color}" stroke-width="{_f(width)}" />')
+            f'<polyline fill="none" stroke="{color}" '
+            f'stroke-width="{_f(width)}" points="{data}" />')
 
     def marker(self, x: float, y: float, color: str, r: float = 0.012) -> None:
         self._track([x], [y])
@@ -143,22 +133,6 @@ def distance_figure(trace: GameTrace) -> str:
     cv.open_layer("dist_attacker_target")
     cv.polyline(at, "#c0392b", 1.5)
     cv.close_layer()
-    return cv.render()
-
-
-def isochron_figure(cfg: GameConfig, times: Sequence[float]) -> str:
-    cv = SvgCanvas()
-    cv.open_layer("attacker_isochrones")
-    for t in times:
-        ia = isochron(cfg.attacker, cfg.attacker_params, t)
-        cv.circle(ia.center.x, ia.center.y, ia.radius, "#c0392b")
-    cv.close_layer()
-    cv.open_layer("defender_isochrones")
-    for t in times:
-        idf = isochron(cfg.defender, cfg.defender_params, t)
-        cv.circle(idf.center.x, idf.center.y, idf.radius, "#2d6cdf")
-    cv.close_layer()
-    cv.marker(cfg.target.x, cfg.target.y, "#1d8348")
     return cv.render()
 
 

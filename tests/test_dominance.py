@@ -221,12 +221,6 @@ class TestRegionMap:
             for i in range(7):
                 assert lab1[j][i] is lab2[2 * j][2 * i]
 
-    def test_thread_pool_does_not_change_labels(self, case3):
-        window = (-1.0, 0.1, -0.6, 0.7)
-        _, _, seq = region_map(case3, window, (6, 6), max_workers=1)
-        _, _, par = region_map(case3, window, (6, 6), max_workers=4)
-        assert seq == par
-
     def test_r_one_soundness(self, case2):
         # independent finer-grained clearance check of sampled R_I labels
         from reachavoid.dominance import trajectory_clearance

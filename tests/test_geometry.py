@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reachavoid.geometry import (Vec2, angle_distance, circle_intersections,
+from reachavoid.geometry import (Vec2, circle_intersections,
                                  dist_point_to_polyline, point_in_polygon,
                                  polygon_area, wrap_angle)
 
@@ -16,7 +16,6 @@ class TestVec2:
         assert a - b == Vec2(1.5, 1.75)
         assert 2.0 * a == Vec2(2.0, 4.0)
         assert a.dot(b) == pytest.approx(0.0)
-        assert a.cross(b) == pytest.approx(1.25)
         assert a.perp() == Vec2(-2.0, 1.0)
 
     def test_non_finite_rejected(self):
@@ -33,9 +32,6 @@ class TestAngles:
     def test_wrap(self):
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
         assert wrap_angle(5 * math.pi) == pytest.approx(math.pi)
-
-    def test_distance_across_the_seam(self):
-        assert angle_distance(0.1, 2 * math.pi - 0.1) == pytest.approx(0.2)
 
 
 class TestCircles:
