@@ -21,8 +21,9 @@ from .geometry import Vec2
 from .mrr import (Branch, MrrBoundary, ReachClassification, ReachKind,
                   barrier_time, boundary_point, classify, cusp_time,
                   mrr_boundary)
-from .scribe import (RootSet, ScribeMode, ScribeProblem, find_zero, gap,
-                     reach_times, scribe_times)
+from .scribe import (RootSet, ScribeBatch, ScribeMode, ScribeProblem,
+                     find_zero, gap, reach_times, reach_times_many,
+                     scribe_times, scribe_times_batch)
 from .strategies import (AttackerWinsError, CostateRecord, TerminalPlan,
                          apollonius_circle, apollonius_plan, best_r3_point,
                          can_reach_target, choose_plan, costate_record,
@@ -37,14 +38,15 @@ __all__ = [
     "GameConfig", "GameTrace", "InfeasibleTargetError", "Isochron",
     "MrrBoundary", "Outcome", "OutcomeKind", "PlayerParams", "PlayerState",
     "R3Component", "R3Condition", "ReachClassification", "ReachKind",
-    "RegionLabel", "RootSet", "Scenario", "ScribeMode", "ScribeProblem",
-    "TerminalPlan", "TraceRow", "Vec2", "apollonius_circle", "apollonius_plan",
+    "RegionLabel", "RootSet", "Scenario", "ScribeBatch", "ScribeMode",
+    "ScribeProblem", "TerminalPlan", "TraceRow", "Vec2", "apollonius_circle", "apollonius_plan",
     "barrier_time", "best_r3_point", "boundary_minima", "boundary_point",
     "can_reach_target", "capture_boundary", "choose_plan", "classify",
     "costate_record",
     "classify_point", "cusp_time", "find_zero", "gap", "hamiltonian_check",
     "isochron", "isochron_intersections", "mrr_boundary", "mrr_strategy",
     "plan_for_point", "propagate", "pure_pursuit", "r3_certificates",
-    "reach_times", "region_map", "run", "scribe_times", "steer_to",
+    "reach_times", "reach_times_many", "region_map", "run", "scribe_times",
+    "scribe_times_batch", "steer_to",
     "strategy_one", "sweep", "tangency_windows",
 ]

@@ -43,7 +43,7 @@ from .dynamics import (Control, DomainError, InfeasibleTargetError,
 from .geometry import (Vec2, point_in_polygon, polygon_area)
 from .mrr import CLASSIFY_TOL, merge_roots, mrr_boundary
 from .scribe import (RootSet, ScribeMode, ScribeProblem, reach_times,
-                     scribe_times)
+                     reach_times_many, scribe_times)
 
 # default number of sweep samples along the full tangency window
 SWEEP_SAMPLES = 2048
@@ -258,15 +258,16 @@ def _annotate_segment(cfg: GameConfig, seg: BoundarySegment) -> np.ndarray:
     pairs = np.zeros((len(seg), 2), dtype=int)
     players = ((cfg.attacker, cfg.attacker_params),
                (cfg.defender, cfg.defender_params))
-    for i in range(len(seg)):
-        p = Vec2(float(seg.points[i, 0]), float(seg.points[i, 1]))
-        t = float(seg.params[i])
-        for k, (state, params) in enumerate(players):
+    for k, (state, params) in enumerate(players):
+        roots = RootSet.rows(*reach_times_many(seg.points, state, params))
+        for i, r in enumerate(roots):
+            p = Vec2(float(seg.points[i, 0]), float(seg.points[i, 1]))
+            t = float(seg.params[i])
             try:
                 align = arrival_alignment(state, params, p, t)
             except (InfeasibleTargetError, DomainError):
                 align = 0.0
-            pairs[i, k] = matched_index(reach_times(p, state, params), t, align)
+            pairs[i, k] = matched_index(r, t, align)
     return pairs
 
 
@@ -529,11 +530,17 @@ def race(cfg: GameConfig, point: Vec2) -> tuple[RootSet, RootSet, float, list[fl
     inside the defender's gap (t_D2, t_D3), when the defender cannot be there."""
     ta = reach_times(point, cfg.attacker, cfg.attacker_params)
     td = reach_times(point, cfg.defender, cfg.defender_params)
+    return (ta, td, *_wins(ta, td))
+
+
+def _wins(ta: RootSet, td: RootSet) -> tuple[float, list[float]]:
+    """The merge tolerance and winning attacker times of `race`, from the two
+    players' reach times."""
     ta_exp, td_exp = ta.expanded(), td.expanded()
     tol = CLASSIFY_TOL * (1.0 + min(ta_exp[0], td_exp[0]))
     wins = [t for t in ta_exp if t < td_exp[0] - tol
             or (len(td_exp) >= 3 and td_exp[1] + tol < t < td_exp[2] - tol)]
-    return ta, td, tol, wins
+    return tol, wins
 
 
 def safe_straight_run(cfg: GameConfig, point: Vec2,
@@ -554,7 +561,14 @@ def safe_straight_run(cfg: GameConfig, point: Vec2,
 
 def classify_point(cfg: GameConfig, point: Vec2) -> RegionLabel:
     """Region label of a single point (see module docstring for the zoo)."""
-    ta, td, tol, wins = race(cfg, point)
+    return _label(cfg, point,
+                  reach_times(point, cfg.attacker, cfg.attacker_params),
+                  reach_times(point, cfg.defender, cfg.defender_params))
+
+
+def _label(cfg: GameConfig, point: Vec2, ta: RootSet, td: RootSet) -> RegionLabel:
+    """Region label of `point` from the two players' reach times there."""
+    tol, wins = _wins(ta, td)
     ta_exp, td_exp = ta.expanded(), td.expanded()
 
     _, inn = tangency_windows(cfg)
@@ -584,7 +598,9 @@ def region_map(cfg: GameConfig, window: tuple[float, float, float, float],
                resolution: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, list[list[RegionLabel]]]:
     """Classify a uniform grid over `window` = (xmin, xmax, ymin, ymax).
 
-    Returns (xs, ys, labels) with labels indexed [row][col] = [y][x].
+    Returns (xs, ys, labels) with labels indexed [row][col] = [y][x].  Each
+    label equals classify_point's: the reach times of the whole grid come
+    from two batch solves, which equal the scalar ones bit for bit.
     """
     nx, ny = resolution
     if nx < 2 or ny < 2:
@@ -594,6 +610,10 @@ def region_map(cfg: GameConfig, window: tuple[float, float, float, float],
         raise ValueError("window must have positive extent")
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
-    labels = [[classify_point(cfg, Vec2(float(x), float(y))) for x in xs]
-              for y in ys]
-    return xs, ys, labels
+    gx, gy = np.meshgrid(xs, ys)
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    cells = zip(pts,
+                RootSet.rows(*reach_times_many(pts, cfg.attacker, cfg.attacker_params)),
+                RootSet.rows(*reach_times_many(pts, cfg.defender, cfg.defender_params)))
+    flat = [_label(cfg, Vec2(*p), ta, td) for p, ta, td in cells]
+    return xs, ys, [flat[j * nx:(j + 1) * nx] for j in range(ny)]

@@ -122,16 +122,3 @@ def point_in_polygon(point, polygon: np.ndarray) -> bool:
     hits = straddles & (px < xi)
     return bool(np.count_nonzero(hits) % 2)
 
-
-def dist_point_to_polyline(point, polyline: np.ndarray) -> float:
-    """Distance from a point to a sampled polyline ((n, 2) array)."""
-    p = np.asarray(point, dtype=float)
-    a = polyline[:-1]
-    b = polyline[1:]
-    ab = b - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    denom[denom == 0.0] = 1.0
-    t = np.clip(np.einsum("ij,ij->i", p - a, ab) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    d = np.hypot(proj[:, 0] - p[0], proj[:, 1] - p[1])
-    return float(d.min()) if len(d) else float(np.hypot(*(p - polyline[0])))

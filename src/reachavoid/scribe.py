@@ -16,13 +16,20 @@ holds at most one sign change, so plain bisection is reliable everywhere.
 
 Reach times of a static point reduce to the same solver by treating the point
 as a zero-thrust player parked there.
+
+`scribe_times_batch` runs the same case split and bisection on a whole batch
+of problems as masked numpy, for region-map grids.  It evaluates the same gap
+functions on arrays and keeps every problem's own stopping rules, so each of
+its results equals the scalar `scribe_times` bit for bit, whichever problems
+share the batch.  The gap uses np.exp, which rounds the same on a float and
+on an array (math.exp does not), and squares as C pow() does on both.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -46,9 +53,30 @@ class ScribeMode(enum.Enum):
     INSCRIBE = "inscribe"
 
 
+def _radius_coeff(u_a: float, u_d: float, mu: float, mode: ScribeMode) -> float:
+    u = u_a + u_d if mode is ScribeMode.CIRCUMSCRIBE else u_a - u_d
+    return (u / mu) ** 2
+
+
+def _bracket_cap(mu: float, radius_coeff: float, dx_norm: float,
+                 dv_norm: float) -> float:
+    # beyond this time the tangency radius provably exceeds any center
+    # distance the drift can produce, so the last sign change lies inside
+    cap = CAP_FACTOR / mu
+    if radius_coeff > 0.0:
+        o_max = (dx_norm + dv_norm / mu) ** 2
+        cap = max(cap, 1.0 / mu + math.sqrt((o_max + 1.0) / radius_coeff))
+    return cap
+
+
 @dataclass(frozen=True)
 class ScribeProblem:
-    """Relative initial state and thrust bounds for one tangency family."""
+    """Relative initial state and thrust bounds for one tangency family.
+
+    The solver reads the derived coefficients (squared separation, squared
+    relative velocity, their dot product, the tangency radius coefficient,
+    the bracket cap and the gap scale), which are computed once here.
+    """
 
     delta_x: Vec2
     delta_v: Vec2
@@ -56,18 +84,56 @@ class ScribeProblem:
     u_a: float
     u_d: float
     mode: ScribeMode = ScribeMode.CIRCUMSCRIBE
+    dx2: float = field(init=False, repr=False, compare=False)
+    dv2: float = field(init=False, repr=False, compare=False)
+    dxdv: float = field(init=False, repr=False, compare=False)
+    radius_coeff: float = field(init=False, repr=False, compare=False)
+    cap: float = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.mu > 0.0:
             raise ValueError("damping factor must be positive")
         if self.delta_x.norm() == 0.0:
             raise ValueError("players must start at distinct positions")
+        rc = _radius_coeff(self.u_a, self.u_d, self.mu, self.mode)
+        dx2 = self.delta_x.norm_sq()
+        derived = {"dx2": dx2, "dv2": self.delta_v.norm_sq(),
+                   "dxdv": self.delta_x.dot(self.delta_v), "radius_coeff": rc,
+                   "cap": _bracket_cap(self.mu, rc, self.delta_x.norm(),
+                                       self.delta_v.norm()),
+                   "scale": max(1.0, dx2)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
-    @property
-    def radius_coeff(self) -> float:
-        u = self.u_a + self.u_d if self.mode is ScribeMode.CIRCUMSCRIBE \
-            else self.u_a - self.u_d
-        return (u / self.mu) ** 2
+
+@dataclass(frozen=True)
+class ScribeBatch:
+    """N tangency problems as arrays of the coefficients the solver reads.
+
+    The attribute names are those of ScribeProblem, so `gap` and its
+    derivatives evaluate a whole batch with the scalar formulas.
+    """
+
+    mu: np.ndarray
+    dx2: np.ndarray
+    dv2: np.ndarray
+    dxdv: np.ndarray
+    radius_coeff: np.ndarray
+    cap: np.ndarray
+    scale: np.ndarray
+
+    @classmethod
+    def of(cls, problems) -> "ScribeBatch":
+        """The batch of a sequence of ScribeProblem, in order."""
+        return cls(*(np.array([getattr(p, f.name) for p in problems], dtype=float)
+                     for f in fields(cls)))
+
+    def __len__(self) -> int:
+        return len(self.mu)
+
+    def take(self, idx) -> "ScribeBatch":
+        return ScribeBatch(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -95,32 +161,46 @@ class RootSet:
             out.extend([t] * m)
         return out
 
+    @classmethod
+    def rows(cls, times: np.ndarray, mults: np.ndarray) -> Iterator["RootSet"]:
+        """The RootSet of each row of the padded (N, 3) batch output."""
+        for t_row, m_row in zip(times, mults):
+            m_row = m_row.tolist()
+            k = m_row.index(0) if 0 in m_row else len(m_row)
+            yield cls(tuple(t_row[:k].tolist()), tuple(m_row[:k]))
 
-def gap(p: ScribeProblem, t) -> float:
-    """Squared center distance minus squared tangency radius at time t."""
+
+def _sq(x):
+    # x ** 2 as C pow() rounds it, also for arrays: numpy squares an array
+    # as x * x, which differs in the last bit on about 0.1% of inputs
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
+
+
+def gap(p, t):
+    """Squared center distance minus squared tangency radius at time t.
+
+    `p` is a ScribeProblem or a ScribeBatch; t a float or an array.
+    """
     s = (1.0 - np.exp(-p.mu * t)) / p.mu
-    o = (p.delta_x.norm_sq() + p.delta_v.norm_sq() * s * s
-         + 2.0 * p.delta_x.dot(p.delta_v) * s)
-    return o - p.radius_coeff * (t - s) ** 2
+    o = p.dx2 + p.dv2 * s * s + 2.0 * p.dxdv * s
+    return o - p.radius_coeff * _sq(t - s)
 
 
-def gap_d1(p: ScribeProblem, t) -> float:
+def gap_d1(p, t):
     """First time derivative of the gap."""
     decay = np.exp(-p.mu * t)
     s = (1.0 - decay) / p.mu
-    o1 = 2.0 * decay * (p.delta_v.norm_sq() * s + p.delta_x.dot(p.delta_v))
+    o1 = 2.0 * decay * (p.dv2 * s + p.dxdv)
     p1 = 2.0 * p.radius_coeff * (t - s) * (1.0 - decay)
     return o1 - p1
 
 
-def gap_d2(p: ScribeProblem, t) -> float:
+def gap_d2(p, t):
     """Second time derivative of the gap."""
     decay = np.exp(-p.mu * t)
     s = (1.0 - decay) / p.mu
-    o2 = 2.0 * decay * (p.delta_v.norm_sq() * (2.0 * decay - 1.0)
-                        - p.mu * p.delta_x.dot(p.delta_v))
-    p2 = 2.0 * p.radius_coeff * ((1.0 - decay) ** 2
-                                 + p.mu * decay * (t - s))
+    o2 = 2.0 * decay * (p.dv2 * (2.0 * decay - 1.0) - p.mu * p.dxdv)
+    p2 = 2.0 * p.radius_coeff * (_sq(1.0 - decay) + p.mu * decay * (t - s))
     return o2 - p2
 
 
@@ -168,18 +248,11 @@ def scribe_times(p: ScribeProblem, tol: float = ROOT_TOL) -> RootSet:
     Guaranteed to return between one and three times.  Exact tangencies of the
     gap at an interior extremum are reported once with multiplicity 2.
     """
-    mu = p.mu
-    # beyond this time the tangency radius provably exceeds any center
-    # distance the drift can produce, so the last sign change lies inside
-    cap = CAP_FACTOR / mu
-    if p.radius_coeff > 0.0:
-        o_max = (p.delta_x.norm() + p.delta_v.norm() / mu) ** 2
-        cap = max(cap, 1.0 / mu + math.sqrt((o_max + 1.0) / p.radius_coeff))
+    mu, cap, scale = p.mu, p.cap, p.scale
     g = lambda t: gap(p, t)
     g1 = lambda t: gap_d1(p, t)
     g2 = lambda t: gap_d2(p, t)
     t0 = 1e-13 / mu
-    scale = max(1.0, p.delta_x.norm_sq())
 
     def one(lo: float = t0) -> RootSet:
         r = find_zero(g, lo, None, tol, expand_start=1.0 / mu, expand_cap=cap)
@@ -188,8 +261,7 @@ def scribe_times(p: ScribeProblem, tol: float = ROOT_TOL) -> RootSet:
                                "bracket cap too small for this problem")
         return RootSet((r,), (1,))
 
-    dxdv = p.delta_x.dot(p.delta_v)
-    dv2 = p.delta_v.norm_sq()
+    dxdv, dv2 = p.dxdv, p.dv2
     if dv2 + mu * dxdv < 0.0:
         return one()          # drift shrinks the center gap monotonically
     if dxdv > 0.0:
@@ -275,3 +347,171 @@ def reach_times(point: Vec2, state: PlayerState, params: PlayerParams,
                             mode=ScribeMode.CIRCUMSCRIBE)
     return scribe_times(problem, tol)
 
+
+
+def _find_zero_many(f, c: ScribeBatch, lo: np.ndarray,
+                    hi: Optional[np.ndarray] = None, tol: float = ROOT_TOL,
+                    expand_start: Optional[np.ndarray] = None,
+                    expand_cap: Optional[np.ndarray] = None) -> np.ndarray:
+    """find_zero(lambda t: f(c[i], t), ...) for every problem i of batch c.
+
+    Each element follows the scalar steps and stopping rules on its own, so
+    its result is the scalar one; nan where find_zero returns None.
+    """
+    flo = f(c, lo)
+    root = np.where(flo == 0.0, lo, np.nan)
+    live = flo != 0.0
+    if hi is None:
+        hi = np.maximum(expand_start, 2.0 * lo)
+        fhi = f(c, hi)
+        grow = live & ~(flo * fhi <= 0.0)
+        while grow.any():
+            stuck = grow & (hi >= expand_cap)
+            live &= ~stuck
+            grow &= ~stuck
+            hi = np.where(grow, np.minimum(2.0 * hi, expand_cap * 1.0000001), hi)
+            fhi = np.where(grow, f(c, hi), fhi)
+            grow &= ~(flo * fhi <= 0.0)
+    else:
+        live &= ~(flo * f(c, hi) > 0.0)
+    a, b, fa = lo, hi, flo
+    todo = live & (b - a > tol)
+    while todo.any():
+        m = 0.5 * (a + b)
+        fm = f(c, m)
+        hit = todo & (fm == 0.0)
+        root = np.where(hit, m, root)
+        live &= ~hit
+        todo &= ~hit
+        left = todo & (fa * fm < 0.0)
+        right = todo & ~left
+        b = np.where(left, m, b)
+        a = np.where(right, m, a)
+        fa = np.where(right, fm, fa)
+        todo = live & (b - a > tol)
+    return np.where(live, 0.5 * (a + b), root)
+
+
+def scribe_times_batch(batch: ScribeBatch) -> tuple[np.ndarray, np.ndarray]:
+    """scribe_times of every problem of the batch, bit for bit.
+
+    Returns (times, mults): (N, 3) times padded with nan after each problem's
+    roots, and (N, 3) multiplicities padded with 0.  The case split of
+    scribe_times runs as masks; every branch that ends in a bisection joins
+    one of five masked find_zero calls.
+    """
+    n = len(batch)
+    times = np.full((n, 3), np.nan)
+    mults = np.zeros((n, 3), dtype=int)
+    nan = np.full(n, np.nan)
+    mu, cap, scale = batch.mu, batch.cap, batch.scale
+    t0 = 1e-13 / mu
+
+    def put(sel, cols):
+        # rows `sel` get the (time, multiplicity) columns with a time, in order
+        k = np.zeros(n, dtype=int)
+        for t, m in cols:
+            ok = sel & ~np.isnan(t)
+            rows = np.flatnonzero(ok)
+            times[rows, k[ok]] = t[ok]
+            mults[rows, k[ok]] = m
+            k[ok] += 1
+
+    def solve(f, sel, lo, hi=None, start=None):
+        # one masked find_zero over the rows `sel`; nan elsewhere
+        out = nan.copy()
+        idx = np.flatnonzero(sel)
+        if len(idx):
+            out[idx] = _find_zero_many(
+                f, batch.take(idx), lo[idx], None if hi is None else hi[idx],
+                ROOT_TOL, None if start is None else start[idx], cap[idx])
+        return out
+
+    # rows owed scribe_times's one(lo): the single crossing after one_lo
+    one_lo = nan.copy()
+
+    def one(sel, lo):
+        one_lo[sel] = lo[sel]
+
+    wiggle = ~(batch.dv2 + mu * batch.dxdv < 0.0) & ~(batch.dxdv > 0.0)
+    one(~wiggle, t0)
+    t_infl = solve(gap_d2, wiggle, t0, start=1.0 / mu)
+    w = wiggle & ~np.isnan(t_infl)
+    one(wiggle & ~w, t0)
+    g1_infl, g_infl = nan.copy(), nan.copy()
+    g1_infl[w] = gap_d1(batch.take(w), t_infl[w])
+    g_infl[w] = gap(batch.take(w), t_infl[w])
+    cusp = w & (np.abs(g1_infl) <= CUSP_SLOPE_EPS * np.maximum(mu * scale, 1e-300)) \
+        & (np.abs(g_infl) <= CUSP_GAP_EPS * scale)
+    put(cusp, [(t_infl, 2)])
+    w &= ~cusp
+    one(w & (g1_infl <= 0.0), t0)
+    w &= g1_infl > 0.0
+
+    g1_t0 = nan.copy()
+    g1_t0[w] = gap_d1(batch.take(w), t0[w])
+    t_lo = np.where(w & (g1_t0 < 0.0), solve(gap_d1, w & (g1_t0 < 0.0), t0, t_infl), t0)
+    t_hi = solve(gap_d1, w, t_infl, start=2.0 * t_infl)
+    lost = w & (np.isnan(t_lo) | np.isnan(t_hi))
+    one(lost, t0)
+    w &= ~lost
+
+    g_lo, g_hi = nan.copy(), nan.copy()
+    g_lo[w] = gap(batch.take(w), t_lo[w])
+    g_hi[w] = gap(batch.take(w), t_hi[w])
+    eps = TANGENCY_EPS * scale
+    lo_flat, hi_flat = w & (np.abs(g_lo) < eps), w & (np.abs(g_hi) < eps)
+    both = lo_flat & hi_flat
+    put(both, [(0.5 * (t_lo + t_hi), 2)])
+    lo_flat &= ~both
+    hi_flat &= ~both
+    w &= ~(lo_flat | hi_flat)
+    one(w & (g_lo > 0.0), t_hi)
+    w &= ~(g_lo > 0.0)
+    falls = w & (g_hi < 0.0)        # a single early crossing
+    w &= ~falls                     # three simple crossings
+
+    first = solve(gap, (hi_flat & (g_lo < 0.0)) | falls | w, t0, t_lo)
+    middle = solve(gap, w, t_lo, t_hi)
+    last = solve(gap, (lo_flat & (g_hi > 0.0)) | w, t_hi, start=2.0 * t_hi)
+    single = solve(gap, ~np.isnan(one_lo), one_lo, start=1.0 / mu)
+    put(lo_flat, [(t_lo, 2), (last, 1)])
+    put(hi_flat, [(first, 1), (t_hi, 2)])
+    put(falls, [(first, 1)])
+    put(w, [(first, 1), (middle, 1), (last, 1)])
+    put(~np.isnan(one_lo), [(single, 1)])
+    if not (mults[:, 0] > 0).all():
+        raise RuntimeError("gap function never changed sign; "
+                           "bracket cap too small for this problem")
+    return times, mults
+
+
+def reach_times_many(points, state: PlayerState,
+                     params: PlayerParams) -> tuple[np.ndarray, np.ndarray]:
+    """reach_times of every point of an (N, 2) array, bit for bit, as the
+    padded (times, mults) of scribe_times_batch; see RootSet.rows."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    dx = pts[:, 0] - state.pos.x
+    dy = pts[:, 1] - state.pos.y
+    dist = list(map(math.hypot, dx.tolist(), dy.tolist()))
+    home = np.array(dist) <= 1e-14
+    # the phantom problem of reach_times: delta_v = -vel, u_a = 0
+    vx, vy = -state.vel.x, -state.vel.y
+    mu = params.mu
+    rc = _radius_coeff(0.0, params.u_max, mu, ScribeMode.CIRCUMSCRIBE)
+    vn = math.hypot(vx, vy)
+    far = np.flatnonzero(~home)
+    dx2 = dx * dx + dy * dy
+    shared = np.ones(len(far))
+    batch = ScribeBatch(mu=mu * shared, dx2=dx2[far], dv2=(vx * vx + vy * vy) * shared,
+                        dxdv=(dx * vx + dy * vy)[far], radius_coeff=rc * shared,
+                        cap=np.array([_bracket_cap(mu, rc, dist[i], vn) for i in far]),
+                        scale=np.maximum(1.0, dx2[far]))
+    times = np.full((len(pts), 3), np.nan)
+    mults = np.zeros((len(pts), 3), dtype=int)
+    times[far], mults[far] = scribe_times_batch(batch)
+    for i in np.flatnonzero(home):
+        roots = reach_times(Vec2(pts[i, 0], pts[i, 1]), state, params)
+        times[i, :len(roots)] = roots.times
+        mults[i, :len(roots)] = roots.multiplicities
+    return times, mults

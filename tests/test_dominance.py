@@ -11,7 +11,7 @@ from reachavoid import (PlayerParams, PlayerState, R3Condition,
 from reachavoid.dominance import arrival_alignment, matched_index
 from reachavoid.geometry import point_in_polygon
 
-from conftest import make_cfg
+from conftest import make_cfg, random_player
 
 
 class TestIsochronIntersections:
@@ -220,6 +220,29 @@ class TestRegionMap:
         for j in range(7):
             for i in range(7):
                 assert lab1[j][i] is lab2[2 * j][2 * i]
+
+    def test_labels_equal_per_point_classification(self, special1):
+        # region_map labels from batch reach times; classify_point from
+        # scalar ones.  The seeded game's window has the attacker's own
+        # position as a corner node, which takes the t = 0 reach branch.
+        rng = np.random.default_rng(34)
+        a = random_player(rng, 1.0, 1.0, box=1.0)
+        d = random_player(rng, 1.0, 1.5, box=1.0, min_speed=0.3)
+        mover = make_cfg((a.pos.x, a.pos.y), (a.vel.x, a.vel.y),
+                         (d.pos.x, d.pos.y), (d.vel.x, d.vel.y), u_d=1.5)
+
+        def toward(start: float, end: float) -> tuple[float, float]:
+            return (start, start + 2.0) if end >= start else (start - 2.0, start)
+
+        grids = ((special1, (-0.75, 0.1, -0.35, 0.35)),
+                 (mover, (*toward(a.pos.x, d.pos.x), *toward(a.pos.y, d.pos.y))))
+        for cfg, window in grids:
+            xs, ys, labels = region_map(cfg, window, (20, 20))
+            assert labels == [[classify_point(cfg, Vec2(float(x), float(y)))
+                               for x in xs] for y in ys]
+            assert len({lab for row in labels for lab in row}) >= 2
+        assert labels[0 if d.pos.y >= a.pos.y else -1][
+            0 if d.pos.x >= a.pos.x else -1] is RegionLabel.R_I
 
     def test_r_one_soundness(self, case2):
         # independent finer-grained clearance check of sampled R_I labels

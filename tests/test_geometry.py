@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from reachavoid.geometry import (Vec2, circle_intersections,
-                                 dist_point_to_polyline, point_in_polygon,
-                                 polygon_area, wrap_angle)
+                                 point_in_polygon, polygon_area, wrap_angle)
 
 
 class TestVec2:
@@ -58,8 +57,3 @@ class TestPolygons:
         assert polygon_area(square) == pytest.approx(4.0)
         assert point_in_polygon((1.0, 1.0), square)
         assert not point_in_polygon((3.0, 1.0), square)
-
-    def test_polyline_distance(self):
-        line = np.array([[0, 0], [1, 0]], dtype=float)
-        assert dist_point_to_polyline((0.5, 0.7), line) == pytest.approx(0.7)
-        assert dist_point_to_polyline((2.0, 0.0), line) == pytest.approx(1.0)

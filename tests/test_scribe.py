@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from reachavoid import (Control, PlayerState, RootSet, ScribeMode,
-                        ScribeProblem, Vec2, find_zero, gap, propagate,
-                        reach_times, scribe_times)
+from reachavoid import (Branch, Control, PlayerParams, PlayerState, RootSet,
+                        ScribeBatch, ScribeMode, ScribeProblem, Vec2,
+                        boundary_point, cusp_time, find_zero, gap, propagate,
+                        reach_times, reach_times_many, scribe_times,
+                        scribe_times_batch)
 
 from conftest import random_player
 
@@ -40,6 +42,27 @@ def brute_roots(problem: ScribeProblem, dt: float = 1e-4) -> list[float]:
                 lo = mid
         roots.append(0.5 * (lo + hi))
     return roots
+
+
+def oracle_problems(count: int = 120) -> list[ScribeProblem]:
+    """Seeded random problems, alternating inscribe and circumscribe."""
+    rng = np.random.default_rng(23)
+    problems = []
+    while len(problems) < count:
+        mu = rng.uniform(0.2, 3.0)
+        u_a = rng.uniform(0.2, 1.5)
+        u_d = u_a * rng.uniform(1.2, 2.5)
+        dx = Vec2(*rng.uniform(-2, 2, 2))
+        if dx.norm() < 1e-3:
+            continue
+        sa = rng.uniform(0, 0.95) * u_a / mu
+        sd = rng.uniform(0, 0.95) * u_d / mu
+        aa, ad = rng.uniform(0, 2 * math.pi, 2)
+        dv = Vec2(sa * math.cos(aa) - sd * math.cos(ad),
+                  sa * math.sin(aa) - sd * math.sin(ad))
+        mode = ScribeMode.CIRCUMSCRIBE if len(problems) % 2 else ScribeMode.INSCRIBE
+        problems.append(ScribeProblem(dx, dv, mu, u_a, u_d, mode))
+    return problems
 
 
 class TestGap:
@@ -113,22 +136,7 @@ class TestScribeTimes:
             assert a == pytest.approx(b, abs=1e-3)
 
     def test_oracle_equivalence_randomized(self):
-        rng = np.random.default_rng(23)
-        checked = 0
-        while checked < 120:
-            mu = rng.uniform(0.2, 3.0)
-            u_a = rng.uniform(0.2, 1.5)
-            u_d = u_a * rng.uniform(1.2, 2.5)
-            dx = Vec2(*rng.uniform(-2, 2, 2))
-            if dx.norm() < 1e-3:
-                continue
-            sa = rng.uniform(0, 0.95) * u_a / mu
-            sd = rng.uniform(0, 0.95) * u_d / mu
-            aa, ad = rng.uniform(0, 2 * math.pi, 2)
-            dv = Vec2(sa * math.cos(aa) - sd * math.cos(ad),
-                      sa * math.sin(aa) - sd * math.sin(ad))
-            mode = ScribeMode.CIRCUMSCRIBE if checked % 2 else ScribeMode.INSCRIBE
-            p = ScribeProblem(dx, dv, mu, u_a, u_d, mode)
+        for p in oracle_problems():
             mine = scribe_times(p)
             ref = brute_roots(p)
             assert 1 <= len(mine) <= 3
@@ -137,7 +145,6 @@ class TestScribeTimes:
             assert len(simple) == len(ref)
             for a, b in zip(simple, ref):
                 assert a == pytest.approx(b, abs=1e-3)
-            checked += 1
 
     def test_first_circumscribe_precedes_first_inscribe(self):
         rng = np.random.default_rng(24)
@@ -208,6 +215,59 @@ class TestReachTimes:
             landed = propagate(st, params, Control(1.0, theta), t).pos
             roots = reach_times(landed, st, params)
             assert min(abs(r - t) for r in roots.expanded()) < 1e-8
+
+
+def batch_roots(problems) -> list[RootSet]:
+    return list(RootSet.rows(*scribe_times_batch(ScribeBatch.of(problems))))
+
+
+def phantom(point: Vec2, st: PlayerState, params: PlayerParams) -> ScribeProblem:
+    """The problem reach_times solves for `point` (a parked zero-thrust player)."""
+    return ScribeProblem(point - st.pos, -st.vel, params.mu, 0.0, params.u_max)
+
+
+class TestBatch:
+    """The batch solver equals the scalar one bit for bit (== on floats)."""
+
+    def test_oracle_problems_in_both_modes(self):
+        problems = [ScribeProblem(p.delta_x, p.delta_v, p.mu, p.u_a, p.u_d, mode)
+                    for p in oracle_problems() for mode in ScribeMode]
+        assert batch_roots(problems) == [scribe_times(p) for p in problems]
+
+    def test_tangent_and_cusp_problems(self, params, special1, overtake):
+        mover = PlayerState(Vec2(0, 0), Vec2(1, 0))
+        problems = [phantom(Vec2(0.3068528194400547, 0.0), mover, params),
+                    overtake.scribe_problem(ScribeMode.CIRCUMSCRIBE)]
+        problems += [special1.scribe_problem(mode) for mode in ScribeMode]
+        for st, par in ((mover, params),
+                        (special1.defender, special1.defender_params)):
+            problems.append(phantom(
+                boundary_point(st, par, cusp_time(st, par), Branch.PLUS), st, par))
+            # points on both branches of the region boundary are tangent roots
+            problems += [phantom(boundary_point(st, par, t, branch), st, par)
+                         for t in (0.1, 0.3, 0.5) for branch in Branch]
+        ref = [scribe_times(p) for p in problems]
+        kinds = {r.multiplicities for r in ref}
+        assert {(1, 2), (2, 1), (2,), (1, 1, 1)} <= kinds
+        assert batch_roots(problems) == ref
+
+    def test_result_does_not_depend_on_the_batch(self):
+        problems = oracle_problems(60)
+        whole = batch_roots(problems)
+        assert batch_roots(problems[::-1]) == whole[::-1]
+        assert batch_roots(problems[7:8]) == whole[7:8]
+
+    def test_reach_times_many_matches_reach_times(self, params):
+        rng = np.random.default_rng(26)
+        for st in (PlayerState(Vec2(0.4, -0.2), Vec2(0.0, 0.0)),
+                   random_player(rng, 1.0, 1.0, min_speed=0.3)):
+            pts = rng.uniform(-2.5, 2.5, (300, 2))
+            pts[17] = (st.pos.x, st.pos.y)        # the t = 0 branch
+            times, mults = reach_times_many(pts, st, params)
+            assert times.shape == mults.shape == (300, 3)
+            ref = [reach_times(Vec2(*p), st, params) for p in pts]
+            assert ref[17].times[0] == 0.0
+            assert list(RootSet.rows(times, mults)) == ref
 
 
 class TestRootSetValidation:
