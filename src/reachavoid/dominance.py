@@ -39,7 +39,7 @@ import numpy as np
 
 from .dynamics import (Control, DomainError, InfeasibleTargetError,
                        PlayerParams, PlayerState, damped_time, isochron,
-                       isochron_xyr, path_xy, propagate, steer_to)
+                       isochron_xyr, path_xy, steer_to)
 from .geometry import (Vec2, point_in_polygon, polygon_area)
 from .mrr import CLASSIFY_TOL, merge_roots, mrr_boundary
 from .scribe import (RootSet, ScribeMode, ScribeProblem, reach_times,
@@ -51,6 +51,8 @@ SWEEP_SAMPLES = 2048
 ANNOTATE_SAMPLES = 600
 # trajectory samples for the straight-run safety check behind R_I
 SAFETY_SAMPLES = 200
+# straight runs evaluated together; bounds the (runs, SAFETY_SAMPLES) arrays
+RUN_CHUNK = 128
 
 
 class RegionLabel(enum.Enum):
@@ -60,6 +62,10 @@ class RegionLabel(enum.Enum):
     DEFENDER_DOMINATED = "defender"
     BOUNDARY_L = "boundary_L"
     BOUNDARY_MRR = "boundary_mrr"
+
+
+# the region labeller codes labels by their index here
+_LABELS = tuple(RegionLabel)
 
 
 @dataclass(frozen=True)
@@ -250,8 +256,14 @@ def arrival_alignment(state: PlayerState, params: PlayerParams, point: Vec2,
                       t: float) -> float:
     """Terminal velocity component along the heading for the arrival at t."""
     ctrl = steer_to(state, params, point, t)
-    arr = propagate(state, params, ctrl, t)
-    return arr.vel.dot(ctrl.heading())
+    if t < 0.0:
+        raise DomainError(f"propagation time must be >= 0, got {t}")
+    # the terminal velocity of propagate, dotted with the heading
+    decay = math.exp(-params.mu * t)
+    a = ctrl.u / params.mu
+    hx, hy = math.cos(ctrl.theta), math.sin(ctrl.theta)
+    return ((state.vel.x * decay + a * (1.0 - decay) * hx) * hx
+            + (state.vel.y * decay + a * (1.0 - decay) * hy) * hy)
 
 
 def _annotate_segment(cfg: GameConfig, seg: BoundarySegment) -> np.ndarray:
@@ -513,15 +525,100 @@ def clearance_at(cfg: GameConfig, ctrl: Control, t):
     return hypot(px - dx, py - dy) - rd
 
 
-def trajectory_clearance(cfg: GameConfig, ctrl: Control, t_end: float,
-                         samples: int = SAFETY_SAMPLES) -> float:
-    """Min over sampled times of attacker-path distance to the defender disc.
+def run_times(t_end: np.ndarray) -> np.ndarray:
+    """Sample times of straight runs arriving at `t_end`, one row per run:
+    np.linspace(t / SAFETY_SAMPLES, t, SAFETY_SAMPLES), bit for bit."""
+    start = t_end / SAFETY_SAMPLES
+    step = (t_end - start) / (SAFETY_SAMPLES - 1)
+    ts = np.arange(SAFETY_SAMPLES) * step[:, None] + start[:, None]
+    ts[:, -1] = t_end
+    return ts
 
-    Positive means the straight saturated run to t_end is never interceptable
-    at the sampled resolution.
+
+def straight_runs(cfg: GameConfig, points: list[tuple[float, float]],
+                  times: list[float]) -> tuple[list[Optional[Control]], np.ndarray]:
+    """Controls and sampled minimum clearances of the attacker's saturated
+    straight runs to points[i] arriving at times[i] > 0.
+
+    A positive clearance means the run is never interceptable at the sampled
+    resolution (see clearance_at).  A run that steer_to rejects gets None and
+    a clearance of -inf.  Runs are evaluated RUN_CHUNK at a time, and each
+    run's result does not depend on the others.
     """
-    ts = np.linspace(t_end / samples, t_end, samples)
-    return float(clearance_at(cfg, ctrl, ts).min())
+    mu = cfg.mu
+    ctrls: list[Optional[Control]] = []
+    # per feasible run: index, amplitude u/mu, heading cosine and sine, time
+    runs = []
+    for i, ((x, y), t) in enumerate(zip(points, times)):
+        try:
+            c = steer_to(cfg.attacker, cfg.attacker_params, Vec2(x, y), t)
+        except (InfeasibleTargetError, DomainError):
+            c = None
+        else:
+            runs.append((i, c.u / mu, math.cos(c.theta), math.sin(c.theta), t))
+        ctrls.append(c)
+    clearance = np.full(len(ctrls), -np.inf)
+    for lo in range(0, len(runs), RUN_CHUNK):
+        chunk = np.array(runs[lo:lo + RUN_CHUNK])
+        amp, hx, hy = chunk[:, 1:2], chunk[:, 2:3], chunk[:, 3:4]
+        ts = run_times(chunk[:, 4])
+        s = damped_time(mu, ts)
+        # path_xy's position: the drift center plus the thrust displacement
+        cx, cy, _ = isochron_xyr(cfg.attacker, cfg.attacker_params, ts, s)
+        dx, dy, rd = isochron_xyr(cfg.defender, cfg.defender_params, ts, s)
+        ramp = ts - s
+        px, py = cx + amp * ramp * hx, cy + amp * ramp * hy
+        clearance[chunk[:, 0].astype(int)] = \
+            (np.hypot(px - dx, py - dy) - rd).min(axis=1)
+    return ctrls, clearance
+
+
+def safe_straight_run(cfg: GameConfig, point: Vec2,
+                      times: list[float]) -> Optional[Control]:
+    """Control of the first never-interceptable straight run to `point`,
+    trying the positive arrival `times` in order; None when there is none."""
+    for t in times:
+        if t > 0.0:
+            ctrls, clearance = straight_runs(cfg, [(point.x, point.y)], [t])
+            if clearance[0] > 0.0:
+                return ctrls[0]
+    return None
+
+
+def _padded(roots: RootSet) -> tuple[np.ndarray, np.ndarray]:
+    """One RootSet as a row of the padded (times, mults) of reach_times_many."""
+    times, mults = np.full((1, 3), np.nan), np.zeros((1, 3), dtype=int)
+    times[0, :len(roots)] = roots.times
+    mults[0, :len(roots)] = roots.multiplicities
+    return times, mults
+
+
+def _expanded(times: np.ndarray, mults: np.ndarray) -> tuple[np.ndarray, ...]:
+    """RootSet.expanded of each padded row, as three columns padded with nan.
+
+    A row has at most three times in all, so a double root can only be the
+    first or the second: (2,), (2, 1), (1, 2), or simple roots.
+    """
+    t0, t1, t2 = times.T
+    d0, d1 = mults[:, 0] == 2, mults[:, 1] == 2
+    return t0, np.where(d0, t0, t1), np.where(d0 | d1, t1, t2)
+
+
+def _double(times: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """Rows where merge_roots gives a root of multiplicity 2 or more: a
+    tangent root, or a root merged into its predecessor."""
+    t0, t1, t2 = times.T
+    return ((mults >= 2).any(axis=1) | (t1 - t0 <= CLASSIFY_TOL * (1.0 + t1))
+            | (t2 - t1 <= CLASSIFY_TOL * (1.0 + t2)))
+
+
+def _race(ea, ed):
+    """The merge tolerance, and which of the expanded attacker times `ea`
+    win against the expanded defender times `ed` (see race).  Each is three
+    columns of floats or of arrays, padded with nan, which never wins."""
+    tol = CLASSIFY_TOL * (1.0 + np.minimum(ea[0], ed[0]))
+    first, gap_lo, gap_hi = ed[0] - tol, ed[1] + tol, ed[2] - tol
+    return tol, [(t < first) | ((gap_lo < t) & (t < gap_hi)) for t in ea]
 
 
 def race(cfg: GameConfig, point: Vec2) -> tuple[RootSet, RootSet, float, list[float]]:
@@ -530,68 +627,60 @@ def race(cfg: GameConfig, point: Vec2) -> tuple[RootSet, RootSet, float, list[fl
     inside the defender's gap (t_D2, t_D3), when the defender cannot be there."""
     ta = reach_times(point, cfg.attacker, cfg.attacker_params)
     td = reach_times(point, cfg.defender, cfg.defender_params)
-    return (ta, td, *_wins(ta, td))
-
-
-def _wins(ta: RootSet, td: RootSet) -> tuple[float, list[float]]:
-    """The merge tolerance and winning attacker times of `race`, from the two
-    players' reach times."""
-    ta_exp, td_exp = ta.expanded(), td.expanded()
-    tol = CLASSIFY_TOL * (1.0 + min(ta_exp[0], td_exp[0]))
-    wins = [t for t in ta_exp if t < td_exp[0] - tol
-            or (len(td_exp) >= 3 and td_exp[1] + tol < t < td_exp[2] - tol)]
-    return tol, wins
-
-
-def safe_straight_run(cfg: GameConfig, point: Vec2,
-                      times: list[float]) -> Optional[Control]:
-    """Control of the first never-interceptable straight run to `point`,
-    trying the positive arrival `times` in order; None when there is none."""
-    for t in times:
-        if t <= 0.0:
-            continue
-        try:
-            ctrl = steer_to(cfg.attacker, cfg.attacker_params, point, t)
-        except (InfeasibleTargetError, DomainError):
-            continue
-        if trajectory_clearance(cfg, ctrl, t) > 0.0:
-            return ctrl
-    return None
+    ea, ed = ((r.expanded() + [math.nan] * 3)[:3] for r in (ta, td))
+    tol, wins = _race(ea, ed)
+    return ta, td, float(tol), [t for t, w in zip(ea, wins) if w]
 
 
 def classify_point(cfg: GameConfig, point: Vec2) -> RegionLabel:
     """Region label of a single point (see module docstring for the zoo)."""
-    return _label(cfg, point,
-                  reach_times(point, cfg.attacker, cfg.attacker_params),
-                  reach_times(point, cfg.defender, cfg.defender_params))
+    return _labels(cfg, np.array([[point.x, point.y]]),
+                   _padded(reach_times(point, cfg.attacker, cfg.attacker_params)),
+                   _padded(reach_times(point, cfg.defender, cfg.defender_params)))[0]
 
 
-def _label(cfg: GameConfig, point: Vec2, ta: RootSet, td: RootSet) -> RegionLabel:
-    """Region label of `point` from the two players' reach times there."""
-    tol, wins = _wins(ta, td)
-    ta_exp, td_exp = ta.expanded(), td.expanded()
+def _labels(cfg: GameConfig, pts: np.ndarray, atk, dfd) -> list[RegionLabel]:
+    """Region labels of the points `pts` (N, 2), given each player's padded
+    (times, mults) reach times there as reach_times_many returns them.
 
+    Precedence: equal reach times (boundary_L), then a double reach time of
+    either player (boundary_mrr), then a winning attacker time (R_I when it
+    is t = 0 or a straight run at one is safe, else R_II), then R_III inside
+    a certificate, else defender dominated.
+    """
+    ea, ed = _expanded(*atk), _expanded(*dfd)
+    tol, wins = _race(ea, ed)
     _, inn = tangency_windows(cfg)
-    for t_a in ta_exp:
-        for t_d in td_exp:
-            # equal reach times beyond the first full-containment time are
-            # post-game geometry, not part of the capture boundary
-            if abs(t_a - t_d) <= tol and t_a <= inn.first + tol:
-                return RegionLabel.BOUNDARY_L
-    if any(m >= 2 for roots in (ta, td) for _, m in merge_roots(roots)):
-        return RegionLabel.BOUNDARY_MRR
-
-    if wins:
-        # an arrival at t = 0 means the attacker already stands on the point
-        if wins[0] <= 0.0 or safe_straight_run(cfg, point, wins) is not None:
-            return RegionLabel.R_I
-        return RegionLabel.R_II
-
-    if len(td_exp) >= 3 and td_exp[0] + tol < ta_exp[0] < td_exp[1] - tol:
-        for comp in r3_certificates(cfg):
-            if comp.contains(point):
-                return RegionLabel.R_III
-    return RegionLabel.DEFENDER_DOMINATED
+    # equal reach times beyond the first full-containment time are
+    # post-game geometry, not part of the capture boundary
+    a, d = np.stack(ea), np.stack(ed)
+    on_l = ((np.abs(a[:, None] - d[None]) <= tol)
+            & (a <= inn.first + tol)[:, None]).any(axis=(0, 1))
+    on_mrr = _double(*atk) | _double(*dfd)
+    undecided = ~(on_l | on_mrr)
+    won = undecided & (wins[0] | wins[1] | wins[2])
+    # an arrival at t = 0 means the attacker already stands on the point
+    safe = won & np.any([w & (t <= 0.0) for t, w in zip(ea, wins)], axis=0)
+    for t, w in zip(ea, wins):
+        # each cell's winning times in order, as safe_straight_run tries them
+        rows = np.nonzero(won & ~safe & w & (t > 0.0))[0]
+        if len(rows):
+            _, clearance = straight_runs(cfg, pts[rows].tolist(), t[rows].tolist())
+            safe[rows] = clearance > 0.0
+    r3 = np.zeros(len(pts), dtype=bool)
+    timing = np.nonzero(undecided & ~won & ~np.isnan(ed[2])
+                        & (ed[0] + tol < ea[0]) & (ea[0] < ed[1] - tol))[0]
+    if len(timing):
+        comps = r3_certificates(cfg)
+        for i in timing:
+            r3[i] = any(point_in_polygon(pts[i], c.polygon) for c in comps)
+    # indices into _LABELS; later assignments take precedence
+    codes = np.full(len(pts), _LABELS.index(RegionLabel.DEFENDER_DOMINATED))
+    for mask, label in ((r3, RegionLabel.R_III), (won, RegionLabel.R_II),
+                        (safe, RegionLabel.R_I), (on_mrr, RegionLabel.BOUNDARY_MRR),
+                        (on_l, RegionLabel.BOUNDARY_L)):
+        codes[mask] = _LABELS.index(label)
+    return [_LABELS[c] for c in codes.tolist()]
 
 
 def region_map(cfg: GameConfig, window: tuple[float, float, float, float],
@@ -600,7 +689,8 @@ def region_map(cfg: GameConfig, window: tuple[float, float, float, float],
 
     Returns (xs, ys, labels) with labels indexed [row][col] = [y][x].  Each
     label equals classify_point's: the reach times of the whole grid come
-    from two batch solves, which equal the scalar ones bit for bit.
+    from two batch solves, which equal the scalar ones bit for bit, and one
+    call of the labeller that classify_point makes for a single point.
     """
     nx, ny = resolution
     if nx < 2 or ny < 2:
@@ -612,8 +702,7 @@ def region_map(cfg: GameConfig, window: tuple[float, float, float, float],
     ys = np.linspace(ymin, ymax, ny)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    cells = zip(pts,
-                RootSet.rows(*reach_times_many(pts, cfg.attacker, cfg.attacker_params)),
-                RootSet.rows(*reach_times_many(pts, cfg.defender, cfg.defender_params)))
-    flat = [_label(cfg, Vec2(*p), ta, td) for p, ta, td in cells]
+    flat = _labels(cfg, pts,
+                   reach_times_many(pts, cfg.attacker, cfg.attacker_params),
+                   reach_times_many(pts, cfg.defender, cfg.defender_params))
     return xs, ys, [flat[j * nx:(j + 1) * nx] for j in range(ny)]

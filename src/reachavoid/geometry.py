@@ -68,9 +68,6 @@ class Vec2:
     def angle(self) -> float:
         return math.atan2(self.y, self.x)
 
-    def as_array(self) -> np.ndarray:
-        return np.array((self.x, self.y), dtype=float)
-
     @staticmethod
     def from_polar(r: float, theta: float) -> "Vec2":
         return Vec2(r * math.cos(theta), r * math.sin(theta))

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Control, DomainError, PlayerParams, PlayerState, propagate
-from .geometry import Vec2
+from .dynamics import (DomainError, PlayerParams, PlayerState, damped_time,
+                       isochron_xyr)
+from .geometry import Vec2, wrap_angle
 from .scribe import RootSet, find_zero, reach_times
 
 # reach times closer than this (scaled by 1+t) merge into a boundary label
@@ -60,21 +61,20 @@ class MrrBoundary:
 
     branch_i runs cusp(minus) -> start position -> cusp(plus) with the
     two-equal-smallest-times parameter in [0, t_u]; branch_ii runs
-    cusp(plus) -> x_s -> cusp(minus) with parameter in [t_u, t_s].
-    Concatenating the two gives a closed polygon.
+    cusp(plus) -> x_s -> cusp(minus) with parameter in [t_u, t_s].  Each is
+    an (n, 3) array of rows (parameter, x, y); concatenating the two gives a
+    closed polygon.
     """
 
     t_s: float
     t_u: float
     x_s: Vec2
     cusps: tuple[Vec2, Vec2]
-    branch_i: tuple[tuple[float, Vec2], ...]
-    branch_ii: tuple[tuple[float, Vec2], ...]
+    branch_i: np.ndarray
+    branch_ii: np.ndarray
 
     def polygon(self) -> np.ndarray:
-        pts = [p.as_array() for _, p in self.branch_i]
-        pts += [p.as_array() for _, p in self.branch_ii]
-        return np.array(pts)
+        return np.vstack([self.branch_i[:, 1:], self.branch_ii[:, 1:]])
 
     @property
     def empty(self) -> bool:
@@ -114,11 +114,11 @@ def cusp_time(state: PlayerState, params: PlayerParams) -> float:
     return root
 
 
-def tangency_heading(state: PlayerState, params: PlayerParams, t: float,
-                     branch: Branch) -> float:
-    """Heading whose trajectory is tangent to its own isochron at time t."""
-    v = state.vel
-    vnorm = v.norm()
+def _heading(vx: float, vy: float, params: PlayerParams, t: float,
+             sign: float) -> float:
+    """Heading whose trajectory from velocity (vx, vy) is tangent to its own
+    isochron at time t; sign +1 picks the counter-clockwise branch."""
+    vnorm = math.hypot(vx, vy)
     if vnorm == 0.0:
         raise DomainError("tangency heading undefined for a player at rest")
     b = (params.u_max / params.mu) * (math.exp(params.mu * t) - 1.0)
@@ -126,21 +126,27 @@ def tangency_heading(state: PlayerState, params: PlayerParams, t: float,
     if m_sq < -1e-12 * vnorm * vnorm:
         raise DomainError(f"no tangency heading beyond the barrier time (t={t})")
     m = math.sqrt(max(m_sq, 0.0))
-    vhat = Vec2(v.x / vnorm, v.y / vnorm)
-    nhat = vhat.perp()
-    sign = 1.0 if branch is Branch.PLUS else -1.0
-    direction = Vec2((-b * vhat.x + sign * m * nhat.x) / vnorm,
-                     (-b * vhat.y + sign * m * nhat.y) / vnorm)
-    return direction.angle()
+    hx, hy = vx / vnorm, vy / vnorm
+    # (-b * vhat + sign * m * perp(vhat)) / |v|, perp a quarter turn
+    return math.atan2((-b * hy + sign * m * hx) / vnorm,
+                      (-b * hx + sign * m * -hy) / vnorm)
+
+
+def _boundary_xy(state: PlayerState, params: PlayerParams, t: float,
+                 sign: float) -> tuple[float, float]:
+    """boundary_point as floats: the tangent saturated run ends on its
+    isochron, at the run's heading from the isochron's center."""
+    if t <= 0.0:
+        return state.pos.x, state.pos.y
+    theta = wrap_angle(_heading(state.vel.x, state.vel.y, params, t, sign))
+    cx, cy, r = isochron_xyr(state, params, t, damped_time(params.mu, t))
+    return cx + r * math.cos(theta), cy + r * math.sin(theta)
 
 
 def boundary_point(state: PlayerState, params: PlayerParams, t: float,
                    branch: Branch) -> Vec2:
     """Point of the MRR boundary with two equal reach times at parameter t."""
-    if t <= 0.0:
-        return state.pos
-    theta = tangency_heading(state, params, t, branch)
-    return propagate(state, params, Control(params.u_max, theta), t).pos
+    return Vec2(*_boundary_xy(state, params, t, float(branch.value)))
 
 
 def _branch_params(t_lo: float, t_hi: float, n: int, refine_at: float) -> np.ndarray:
@@ -160,8 +166,9 @@ def mrr_boundary(state: PlayerState, params: PlayerParams,
     """Sample the full MRR boundary.  Degenerates to the start point at rest."""
     if state.vel.norm() == 0.0:
         p = state.pos
+        row = np.array([[0.0, p.x, p.y]])
         return MrrBoundary(t_s=0.0, t_u=0.0, x_s=p, cusps=(p, p),
-                           branch_i=((0.0, p),), branch_ii=((0.0, p),))
+                           branch_i=row, branch_ii=row.copy())
     t_s = barrier_time(state, params)
     t_u = cusp_time(state, params)
     x_s = boundary_point(state, params, t_s, Branch.PLUS)
@@ -172,14 +179,14 @@ def mrr_boundary(state: PlayerState, params: PlayerParams,
     t_i = _branch_params(0.0, t_u, samples, refine_at=t_u)
     t_ii = _branch_params(t_u, t_s, samples, refine_at=t_u)
 
-    def arc(ts: np.ndarray, branch: Branch) -> list[tuple[float, Vec2]]:
-        return [(float(t), boundary_point(state, params, float(t), branch))
-                for t in ts]
+    def arc(ts: list[float], sign: float) -> list[tuple[float, float, float]]:
+        return [(t, *_boundary_xy(state, params, t, sign)) for t in ts]
 
-    branch_i = arc(t_i[::-1], Branch.MINUS) + arc(t_i, Branch.PLUS)
-    branch_ii = arc(t_ii, Branch.PLUS) + arc(t_ii[::-1], Branch.MINUS)
+    t_i, t_ii = t_i.tolist(), t_ii.tolist()
+    branch_i = arc(t_i[::-1], -1.0) + arc(t_i, 1.0)
+    branch_ii = arc(t_ii, 1.0) + arc(t_ii[::-1], -1.0)
     return MrrBoundary(t_s=t_s, t_u=t_u, x_s=x_s, cusps=(cusp_plus, cusp_minus),
-                       branch_i=tuple(branch_i), branch_ii=tuple(branch_ii))
+                       branch_i=np.array(branch_i), branch_ii=np.array(branch_ii))
 
 
 def classify(point: Vec2, state: PlayerState, params: PlayerParams) -> ReachClassification:

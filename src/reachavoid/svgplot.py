@@ -63,12 +63,6 @@ class SvgCanvas:
             f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" fill="{color}" '
             f'stroke="none" />')
 
-    def rect(self, x: float, y: float, w: float, h: float, fill: str) -> None:
-        self._track([x, x + w], [y, y + h])
-        self.elements.append(
-            f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
-            f'fill="{fill}" stroke="none" />')
-
     def open_layer(self, name: str) -> None:
         self.elements.append(f'<g id="{name}">')
 
@@ -156,16 +150,22 @@ def region_figure(cfg: GameConfig, xs, ys, labels,
     cv = SvgCanvas()
     w = float(xs[1] - xs[0])
     h = float(ys[1] - ys[0])
-    for label in RegionLabel:
-        cells = [(i, j) for j in range(len(ys)) for i in range(len(xs))
-                 if labels[j][i] is label]
-        if not cells:
-            continue
-        cv.open_layer(f"region_{label.value}")
-        for i, j in cells:
-            cv.rect(float(xs[i]) - 0.5 * w, float(ys[j]) - 0.5 * h, w, h,
-                    LABEL_COLORS[label])
-        cv.close_layer()
+    # each cell's corner: formatted once per column and once per row
+    left = [float(x) - 0.5 * w for x in xs]
+    bottom = [float(y) - 0.5 * h for y in ys]
+    cv._track(left + [x + w for x in left], bottom + [y + h for y in bottom])
+    col, row = [_f(x) for x in left], [_f(y) for y in bottom]
+    size = f'width="{_f(w)}" height="{_f(h)}"'
+    layers: dict[RegionLabel, list[str]] = {label: [] for label in RegionLabel}
+    for j, labs in enumerate(labels):
+        for i, label in enumerate(labs):
+            layers[label].append(f'<rect x="{col[i]}" y="{row[j]}" {size} '
+                                 f'fill="{LABEL_COLORS[label]}" stroke="none" />')
+    for label, rects in layers.items():
+        if rects:
+            cv.open_layer(f"region_{label.value}")
+            cv.elements.extend(rects)
+            cv.close_layer()
     if overlays:
         for name, polylines in overlays.items():
             cv.open_layer(name)

@@ -3,22 +3,35 @@
 Run from the root of a checkout, only when a change of behaviour is intended
 and explained in CHANGES.md:
 
-    PYTHONPATH=src python tests/golden/record.py
+    PYTHONPATH=src:tests python tests/golden/record.py
 
 Each golden holds one game's outcome (kind, t, payoff, point), its plan
 switches, its exact notes, and the player states of every K-th trace row plus
 the last one.  The games are the five bundled scenarios under their own
 policies and six variants that reach the engine's fallback paths.
+
+`labels.json` holds region labels, which tests/test_dominance.py compares
+exactly: special1's bundled region map, `classify_point` at the vertices of
+L and of the MRR polygons of special1 and case2 (the only places boundary
+labels occur), region maps of two seeded moving-defender games, the sha256
+of special1's defender MRR polygon and special1's annotated reach-time index
+pairs.  Labels are stored one character each (see LABEL_CODE), a grid as one
+string per row.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
+from conftest import make_cfg, random_player
 from reachavoid import (AttackerPolicy, Control, DefenderPolicy, GameConfig,
-                        GameTrace, PlayerParams, PlayerState, Scenario, Vec2,
-                        run, scenario_io)
+                        GameTrace, PlayerParams, PlayerState, RegionLabel,
+                        Scenario, Vec2, capture_boundary, classify_point,
+                        mrr_boundary, region_map, run, scenario_io)
 
 GOLDEN = Path(__file__).resolve().parent
 SCENARIOS = GOLDEN.parents[1] / "scenarios"
@@ -87,12 +100,79 @@ def snapshot(trace: GameTrace) -> dict:
     }
 
 
+LABEL_CODE = {RegionLabel.R_I: "1", RegionLabel.R_II: "2",
+              RegionLabel.R_III: "3", RegionLabel.DEFENDER_DOMINATED: "d",
+              RegionLabel.BOUNDARY_L: "L", RegionLabel.BOUNDARY_MRR: "M"}
+# sweep samples of L and branch samples of the MRR polygons whose vertices
+# are classified
+L_SAMPLES = 256
+MRR_SAMPLES = 64
+# seeds of the moving-defender games, and their region-map resolution
+SEEDED = (37, 77)
+SEEDED_RESOLUTION = (32, 32)
+
+
+def _seeded_game(seed: int) -> tuple[GameConfig, tuple[float, float, float, float]]:
+    """A game with a fast defender (u_D = 2, at least 0.8 of its speed cap)
+    near the attacker, in the CLI's default window around both players and
+    the target.  The seeds are ones whose maps have R_II and R_III cells."""
+    rng = np.random.default_rng(seed)
+    a = random_player(rng, 1.0, 1.0, box=0.5)
+    d = random_player(rng, 1.0, 2.0, box=0.5, min_speed=0.8)
+    cfg = make_cfg((a.pos.x, a.pos.y), (a.vel.x, a.vel.y),
+                   (d.pos.x, d.pos.y), (d.vel.x, d.vel.y))
+    xs, ys = (a.pos.x, d.pos.x, 0.0), (a.pos.y, d.pos.y, 0.0)
+    pad = 0.6 * max(max(xs) - min(xs), max(ys) - min(ys), 0.5)
+    return cfg, (min(xs) - pad, max(xs) + pad, min(ys) - pad, max(ys) + pad)
+
+
+def _grid_codes(labels) -> list[str]:
+    return ["".join(LABEL_CODE[lab] for lab in row) for row in labels]
+
+
+def _vertex_codes(cfg: GameConfig) -> str:
+    """classify_point at the vertices of L and of each moving player's MRR
+    polygon."""
+    parts = [seg.points for seg in capture_boundary(cfg, samples=L_SAMPLES).segments]
+    for state, params in ((cfg.attacker, cfg.attacker_params),
+                          (cfg.defender, cfg.defender_params)):
+        if state.vel.norm() > 0.0:
+            parts.append(mrr_boundary(state, params, MRR_SAMPLES).polygon())
+    return "".join(LABEL_CODE[classify_point(cfg, Vec2(x, y))]
+                   for x, y in np.vstack(parts).tolist())
+
+
+def label_snapshot() -> dict:
+    """The compared content of labels.json, as a JSON-ready dict."""
+    doc = scenario_io.load(SCENARIOS / "special1.json")
+    s1 = doc.scenario.cfg
+    maps = {"special1": _grid_codes(region_map(s1, doc.render.window,
+                                               doc.render.resolution)[2])}
+    for seed in SEEDED:
+        cfg, window = _seeded_game(seed)
+        maps[f"seed{seed}"] = _grid_codes(region_map(cfg, window, SEEDED_RESOLUTION)[2])
+    case2 = scenario_io.load(SCENARIOS / "case2.json").scenario.cfg
+    poly = mrr_boundary(s1.defender, s1.defender_params).polygon()
+    annotated = capture_boundary(s1, annotate=True)
+    return {
+        "maps": maps,
+        "vertices": {"special1": _vertex_codes(s1), "case2": _vertex_codes(case2)},
+        "special1_defender_mrr_sha256": hashlib.sha256(poly.tobytes()).hexdigest(),
+        "special1_pair_indices": [p.tolist() for p in annotated.pair_indices],
+    }
+
+
 def main() -> None:
     for name, make in GAMES.items():
         snap = snapshot(run(make()))
         (GOLDEN / f"{name}.json").write_text(json.dumps(snap, indent=1) + "\n")
         print(f"{name}: {snap['outcome']['kind']} t={snap['outcome']['t']:.6f} "
               f"rows={snap['row_count']} notes={len(snap['notes'])}")
+    labels = label_snapshot()
+    (GOLDEN / "labels.json").write_text(json.dumps(labels, indent=1) + "\n")
+    text = "".join("".join(m) for m in labels["maps"].values()) \
+        + "".join(labels["vertices"].values())
+    print("labels: " + " ".join(f"{c}={text.count(c)}" for c in LABEL_CODE.values()))
 
 
 if __name__ == "__main__":

@@ -1,17 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from reachavoid import (PlayerParams, PlayerState, R3Condition,
-                        RegionLabel, Vec2, boundary_minima,
-                        capture_boundary, classify_point,
-                        isochron_intersections, r3_certificates, reach_times,
-                        region_map, tangency_windows)
-from reachavoid.dominance import arrival_alignment, matched_index
+from reachavoid import (Control, InfeasibleTargetError, PlayerParams,
+                        PlayerState, R3Condition, RegionLabel, Vec2,
+                        boundary_minima, capture_boundary, classify_point,
+                        isochron_intersections, propagate, r3_certificates,
+                        reach_times, region_map, steer_to, tangency_windows)
+from reachavoid.dominance import (RUN_CHUNK, SAFETY_SAMPLES, arrival_alignment,
+                                  clearance_at, matched_index, run_times,
+                                  straight_runs)
 from reachavoid.geometry import point_in_polygon
 
 from conftest import make_cfg, random_player
+from golden import record
 
 
 class TestIsochronIntersections:
@@ -246,7 +250,7 @@ class TestRegionMap:
 
     def test_r_one_soundness(self, case2):
         # independent finer-grained clearance check of sampled R_I labels
-        from reachavoid.dominance import trajectory_clearance
+        from reachavoid.dominance import clearance_at
         from reachavoid import steer_to
         xs, ys, labels = region_map(case2, (0.2, 1.4, -1.0, 0.4), (12, 12))
         found = 0
@@ -262,9 +266,83 @@ class TestRegionMap:
                         ok = True
                         break
                     ctrl = steer_to(case2.attacker, case2.attacker_params, p, t_a)
-                    if trajectory_clearance(case2, ctrl, t_a, samples=500) > 0.0:
+                    ts = np.linspace(t_a / 500, t_a, 500)
+                    if clearance_at(case2, ctrl, ts).min() > 0.0:
                         ok = True
                         break
                 assert ok
                 found += 1
         assert found > 0
+
+
+class TestStraightRuns:
+    @staticmethod
+    def runs(cfg, rng, n):
+        """n seeded (point, time) runs: mostly reachable points of the
+        attacker, and every tenth one out of its reach."""
+        points, times = [], []
+        for i in range(n):
+            t = float(rng.uniform(0.02, 2.5))
+            ctrl = Control(float(rng.uniform(0.0, 1.0)) * cfg.attacker_params.u_max,
+                           float(rng.uniform(0.0, 2.0 * math.pi)))
+            p = propagate(cfg.attacker, cfg.attacker_params, ctrl, t).pos
+            if i % 10 == 9:
+                p = p + Vec2(5.0, 0.0)
+            points.append((p.x, p.y))
+            times.append(t)
+        return points, times
+
+    def test_equal_one_run_calls_and_dense_reference(self, special1, case2):
+        rng = np.random.default_rng(52)
+        for cfg in (special1, case2):
+            points, times = self.runs(cfg, rng, 2 * RUN_CHUNK + 60)
+            ctrls, clearance = straight_runs(cfg, points, times)
+            safe = clearance > 0.0
+            assert 0 < safe.sum() < len(safe)
+            for i, ((x, y), t) in enumerate(zip(points, times)):
+                one_ctrl, one = straight_runs(cfg, [(x, y)], [t])
+                assert one_ctrl[0] == ctrls[i]
+                assert one[0] == clearance[i]
+                if ctrls[i] is None:
+                    assert clearance[i] == -np.inf
+                    with pytest.raises(InfeasibleTargetError):
+                        steer_to(cfg.attacker, cfg.attacker_params, Vec2(x, y), t)
+                    continue
+                assert ctrls[i] == steer_to(cfg.attacker, cfg.attacker_params,
+                                            Vec2(x, y), t)
+                ts = np.linspace(t / SAFETY_SAMPLES, t, SAFETY_SAMPLES)
+                reference = float(clearance_at(cfg, ctrls[i], ts).min())
+                assert clearance[i] == reference
+                assert safe[i] == (reference > 0.0)
+
+    def test_time_grid_is_linspace(self):
+        rng = np.random.default_rng(53)
+        t_end = np.concatenate([rng.uniform(1e-6, 10.0, 300), [1e-300, 1.0, 3.7]])
+        grid = run_times(t_end)
+        for t, row in zip(t_end, grid):
+            assert np.array_equal(row, np.linspace(t / SAFETY_SAMPLES, t,
+                                                   SAFETY_SAMPLES))
+
+
+class TestGoldenLabels:
+    """Labels recorded with the scalar per-cell rule that the array labeller
+    replaced (tests/golden/record.py), compared exactly."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads((record.GOLDEN / "labels.json").read_text())
+
+    @pytest.fixture(scope="class")
+    def current(self):
+        return record.label_snapshot()
+
+    @pytest.mark.parametrize("key", ["maps", "vertices",
+                                     "special1_defender_mrr_sha256",
+                                     "special1_pair_indices"])
+    def test_matches_golden(self, golden, current, key):
+        assert current[key] == golden[key]
+
+    def test_every_label_occurs(self, golden):
+        text = "".join("".join(rows) for rows in golden["maps"].values())
+        text += "".join(golden["vertices"].values())
+        assert set(text) == set(record.LABEL_CODE.values())

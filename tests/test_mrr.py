@@ -168,17 +168,19 @@ class TestMrrBoundary:
     def test_branch_endpoints(self, params):
         st = PlayerState(Vec2(0.3, -0.2), Vec2(0.6, 0.5))
         b = mrr_boundary(st, params)
+        points_i = [Vec2(x, y) for x, y in b.branch_i[:, 1:].tolist()]
+        points_ii = [Vec2(x, y) for x, y in b.branch_ii[:, 1:].tolist()]
         # first arc starts and ends at the cusps and passes the start position
-        assert (b.branch_i[0][1] - b.cusps[1]).norm() < 1e-9
-        assert (b.branch_i[-1][1] - b.cusps[0]).norm() < 1e-9
-        mid_dists = min((p - st.pos).norm() for _, p in b.branch_i)
+        assert (points_i[0] - b.cusps[1]).norm() < 1e-9
+        assert (points_i[-1] - b.cusps[0]).norm() < 1e-9
+        mid_dists = min((p - st.pos).norm() for p in points_i)
         assert mid_dists < 1e-9
         # second arc runs cusp -> deepest point -> cusp
-        assert (b.branch_ii[0][1] - b.cusps[0]).norm() < 1e-9
-        assert (b.branch_ii[-1][1] - b.cusps[1]).norm() < 1e-9
-        assert min((p - b.x_s).norm() for _, p in b.branch_ii) < 1e-9
-        assert all(0.0 <= t <= b.t_u + 1e-12 for t, _ in b.branch_i)
-        assert all(b.t_u - 1e-12 <= t <= b.t_s + 1e-12 for t, _ in b.branch_ii)
+        assert (points_ii[0] - b.cusps[0]).norm() < 1e-9
+        assert (points_ii[-1] - b.cusps[1]).norm() < 1e-9
+        assert min((p - b.x_s).norm() for p in points_ii) < 1e-9
+        assert all(0.0 <= t <= b.t_u + 1e-12 for t in b.branch_i[:, 0])
+        assert all(b.t_u - 1e-12 <= t <= b.t_s + 1e-12 for t in b.branch_ii[:, 0])
 
     def test_polygon_interior_is_triple(self, params):
         rng = np.random.default_rng(33)
