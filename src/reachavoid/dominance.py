@@ -160,6 +160,32 @@ def intersection_points(cfg: GameConfig, ts: np.ndarray):
     return plus, minus, valid
 
 
+def _intersection_point(cfg: GameConfig, t: float,
+                       side: float) -> tuple[float, float, bool]:
+    """One row of `intersection_points` at a float time: x and y of the plus
+    (side >= 0) or minus point, and whether the isochrones intersect.
+
+    The same operations on floats, so the same bits: np.exp and np.hypot round
+    a float exactly as they round an array element, and the clip is a max.
+    """
+    t = float(t)
+    mu = cfg.mu
+    s = (1.0 - float(np.exp(-mu * t))) / mu
+    ax, ay, ra = isochron_xyr(cfg.attacker, cfg.attacker_params, t, s)
+    dx, dy, rd = isochron_xyr(cfg.defender, cfg.defender_params, t, s)
+    ux, uy = dx - ax, dy - ay
+    d = float(np.hypot(ux, uy))
+    valid = d > 0.0 and d <= ra + rd and d >= abs(ra - rd)
+    dd = d if d > 0.0 else 1.0
+    a = (dd * dd + ra * ra - rd * rd) / (2.0 * dd)
+    h = math.sqrt(max(ra * ra - a * a, 0.0))
+    ux, uy = ux / dd, uy / dd
+    mx, my = ax + a * ux, ay + a * uy
+    if side >= 0:
+        return mx - h * uy, my + h * ux, valid
+    return mx + h * uy, my - h * ux, valid
+
+
 @lru_cache(maxsize=256)
 def tangency_windows(cfg: GameConfig) -> tuple[RootSet, RootSet]:
     """(circumscribe roots, inscribe roots) of the two isochron families."""
@@ -190,9 +216,7 @@ def _active_intervals(cfg: GameConfig) -> tuple[float, float, list[tuple[float, 
                      *[r for r in inn.times if t_out < r < t_in]})
     intervals = []
     for a, b in zip(events[:-1], events[1:]):
-        mid = np.array([0.5 * (a + b)])
-        _, _, valid = intersection_points(cfg, mid)
-        if valid[0]:
+        if _intersection_point(cfg, 0.5 * (a + b), 1.0)[2]:
             intervals.append((a, b))
     return t_out, t_in, intervals
 
@@ -294,12 +318,6 @@ class BoundaryMinimum:
     point: Vec2
 
 
-def _side_point(cfg: GameConfig, t: float, side: float) -> Vec2:
-    plus, minus, valid = intersection_points(cfg, np.array([t]))
-    arr = plus[0] if side >= 0 else minus[0]
-    return Vec2(float(arr[0]), float(arr[1]))
-
-
 def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv * (b - a)
@@ -315,6 +333,16 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
             d = a + inv * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+def _dip_candidates(dist: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Indices of the valid samples that are no farther than either
+    neighbour (inf beyond the ends), and of valid end samples, ascending."""
+    padded = np.concatenate(([np.inf], dist, [np.inf]))
+    interior_min = (dist <= padded[:-2]) & (dist <= padded[2:])
+    edge = np.zeros(len(dist), dtype=bool)
+    edge[[0, -1]] = True
+    return np.flatnonzero(valid & (interior_min | edge))
 
 
 def boundary_minima(cfg: GameConfig, samples: int = 512) -> list[BoundaryMinimum]:
@@ -333,26 +361,18 @@ def boundary_minima(cfg: GameConfig, samples: int = 512) -> list[BoundaryMinimum
         for side, pts in ((1.0, plus), (-1.0, minus)):
             dist = np.hypot(pts[:, 0] - tx, pts[:, 1] - ty)
             dist = np.where(valid, dist, np.inf)
-            for i in range(len(ts)):
-                if not valid[i]:
-                    continue
-                left = dist[i - 1] if i > 0 else np.inf
-                right = dist[i + 1] if i < len(ts) - 1 else np.inf
-                interior_min = dist[i] <= left and dist[i] <= right
-                at_edge = i == 0 or i == len(ts) - 1
-                if not (interior_min or at_edge):
-                    continue
+            for i in _dip_candidates(dist, valid):
                 lo = ts[max(i - 1, 0)]
                 hi = ts[min(i + 1, len(ts) - 1)]
 
                 def f(t: float) -> float:
-                    q = _side_point(cfg, t, side)
-                    return math.hypot(q.x - tx, q.y - ty)
+                    x, y, _ = _intersection_point(cfg, t, side)
+                    return math.hypot(x - tx, y - ty)
 
                 t_star = _golden_min(f, lo, hi)
-                q = _side_point(cfg, t_star, side)
-                found.append(BoundaryMinimum(payoff=math.hypot(q.x - tx, q.y - ty),
-                                             t=t_star, side=side, point=q))
+                x, y, _ = _intersection_point(cfg, t_star, side)
+                found.append(BoundaryMinimum(payoff=math.hypot(x - tx, y - ty),
+                                             t=t_star, side=side, point=Vec2(x, y)))
     found.sort(key=lambda m: (round(m.payoff / 1e-9), m.t, m.point.angle()))
     deduped: list[BoundaryMinimum] = []
     for m in found:

@@ -12,8 +12,11 @@ stepped over.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Optional
+
+import numpy as np
 
 from .dynamics import (Control, InfeasibleTargetError, PlayerState, propagate,
                        steer_to)
@@ -84,6 +87,11 @@ class Scenario:
         return self.t_max if self.t_max is not None else 10.0 / self.cfg.mu
 
 
+# the per-step floats of a trace, in the column order of trace.csv
+TRACE_COLUMNS = ("t", "xA", "yA", "vAx", "vAy", "xD", "yD", "vDx", "vDy",
+                 "uA", "thetaA", "uD", "thetaD", "distAD", "distAT")
+
+
 @dataclass(frozen=True)
 class TraceRow:
     t: float
@@ -95,10 +103,62 @@ class TraceRow:
     dist_at: float
 
 
+def _stored_control(u: float, theta: float) -> Control:
+    """The recorded control as is.  Control() wraps its heading again, which
+    would turn a heading that wrapped to exactly 2*pi into 0."""
+    ctrl = object.__new__(Control)
+    object.__setattr__(ctrl, "u", u)
+    object.__setattr__(ctrl, "theta", theta)
+    return ctrl
+
+
+def _trace_row(v: list[float]) -> TraceRow:
+    return TraceRow(v[0], PlayerState(Vec2(v[1], v[2]), Vec2(v[3], v[4])),
+                    PlayerState(Vec2(v[5], v[6]), Vec2(v[7], v[8])),
+                    _stored_control(v[9], v[10]), _stored_control(v[11], v[12]),
+                    v[13], v[14])
+
+
+class TraceRows(Sequence):
+    """The rows of a game trace, read-only.
+
+    The floats live in one (N, 15) float64 array in TRACE_COLUMNS order;
+    each TraceRow is built on access, with plain float fields.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, rows):
+        self.array = np.array(rows, dtype=float).reshape(-1, len(TRACE_COLUMNS))
+        self.array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TraceRows(self.array[i])
+        return _trace_row(self.array[i].tolist())
+
+    def __iter__(self):
+        return map(_trace_row, self.array.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TraceRows):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.array.ravel().tolist()))
+
+    def __repr__(self) -> str:
+        return f"TraceRows({len(self)} rows)"
+
+
 @dataclass(frozen=True)
 class GameTrace:
     scenario: Scenario
-    rows: tuple[TraceRow, ...]
+    rows: TraceRows
     outcome: Outcome
     notes: tuple[str, ...] = ()
     plan_switches: tuple[tuple[float, Vec2], ...] = ()
@@ -295,15 +355,22 @@ def run(sc: Scenario) -> GameTrace:
     a, d = cfg.attacker, cfg.defender
     t = 0.0
     tracker = _PlanTracker()
-    rows: list[TraceRow] = []
+    # one tuple of TRACE_COLUMNS floats per row
+    rows: list[tuple[float, ...]] = []
+
+    def record(ctrl_a: Control, ctrl_d: Control) -> None:
+        rows.append((t, a.pos.x, a.pos.y, a.vel.x, a.vel.y,
+                     d.pos.x, d.pos.y, d.vel.x, d.vel.y,
+                     ctrl_a.u, ctrl_a.theta, ctrl_d.u, ctrl_d.theta,
+                     dist_ad, dist_at))
 
     dist_ad, dist_at = _dists(cfg, a, d)
     if dist_ad <= sc.eps_capture:
         outcome = Outcome(OutcomeKind.CAPTURED, 0.0, dist_at, a.pos)
-        return GameTrace(sc, (), outcome)
+        return GameTrace(sc, TraceRows(rows), outcome)
     if dist_at <= sc.eps_target:
         outcome = Outcome(OutcomeKind.TARGET_REACHED, 0.0, dist_at, a.pos)
-        return GameTrace(sc, (), outcome)
+        return GameTrace(sc, TraceRows(rows), outcome)
 
     # a step without a terminal event leaves the outcome at TIMEOUT
     kind = OutcomeKind.TIMEOUT
@@ -315,7 +382,7 @@ def run(sc: Scenario) -> GameTrace:
         ctrl_d = _act("defender", _DEFENDER_POLICIES[sc.defender_policy],
                       step_cfg, sc, t, tracker, ctrl_a)
         if not rows:
-            rows.append(TraceRow(t, a, d, ctrl_a, ctrl_d, dist_ad, dist_at))
+            record(ctrl_a, ctrl_d)
         dt = min(sc.dt, sc.horizon - t)
         h, kind = _event_time(step_cfg, a, d, ctrl_a, ctrl_d, dt, sc.eps_capture,
                               sc.eps_target) or (dt, OutcomeKind.TIMEOUT)
@@ -323,8 +390,8 @@ def run(sc: Scenario) -> GameTrace:
         d = propagate(d, cfg.defender_params, ctrl_d, h)
         t += h
         dist_ad, dist_at = _dists(cfg, a, d)
-        rows.append(TraceRow(t, a, d, ctrl_a, ctrl_d, dist_ad, dist_at))
-    return GameTrace(sc, tuple(rows), Outcome(kind, t, dist_at, a.pos),
+        record(ctrl_a, ctrl_d)
+    return GameTrace(sc, TraceRows(rows), Outcome(kind, t, dist_at, a.pos),
                      tuple(tracker.notes), tuple(tracker.switches))
 
 

@@ -14,11 +14,9 @@ from typing import Any, Optional
 
 from .dynamics import PlayerParams, PlayerState
 from .dominance import GameConfig
-from .engine import AttackerPolicy, DefenderPolicy, GameTrace, Scenario
+from .engine import (TRACE_COLUMNS, AttackerPolicy, DefenderPolicy, GameTrace,
+                     Scenario)
 from .geometry import Vec2
-
-TRACE_COLUMNS = ("t", "xA", "yA", "vAx", "vAy", "xD", "yD", "vDx", "vDy",
-                 "uA", "thetaA", "uD", "thetaD", "distAD", "distAT")
 
 
 class SchemaError(ValueError):
@@ -192,15 +190,8 @@ def dumps(doc: ScenarioDocument) -> str:
 def trace_to_csv(trace: GameTrace) -> str:
     """Fixed-column trace serialization at 17 significant digits."""
     lines = [",".join(TRACE_COLUMNS)]
-    for r in trace.rows:
-        vals = (r.t, r.attacker.pos.x, r.attacker.pos.y,
-                r.attacker.vel.x, r.attacker.vel.y,
-                r.defender.pos.x, r.defender.pos.y,
-                r.defender.vel.x, r.defender.vel.y,
-                r.attacker_ctrl.u, r.attacker_ctrl.theta,
-                r.defender_ctrl.u, r.defender_ctrl.theta,
-                r.dist_ad, r.dist_at)
-        lines.append(",".join(f"{v:.17g}" for v in vals))
+    lines += [",".join(f"{v:.17g}" for v in row)
+              for row in trace.rows.array.tolist()]
     return "\n".join(lines) + "\n"
 
 

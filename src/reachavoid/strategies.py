@@ -26,9 +26,8 @@ import numpy as np
 from .dynamics import (Control, InfeasibleTargetError, damped_time, propagate,
                        steer_to)
 from .dominance import (BoundaryMinimum, GameConfig, RegionLabel,
-                        arrival_alignment, boundary_minima, clearance_at,
-                        matched_index, r3_certificates, race,
-                        safe_straight_run)
+                        arrival_alignment, boundary_minima, matched_index,
+                        r3_certificates, race, safe_straight_run)
 from .geometry import Vec2
 from .scribe import find_zero, reach_times
 
@@ -261,13 +260,28 @@ def first_unsafe_crossing(cfg: GameConfig, ctrl: Control, t_end: float,
     """
     if t_end <= 0.0:
         return None
-    clearance = lambda t: clearance_at(cfg, ctrl, t)
+    # clearance_at on floats, with the run's constants taken out of the
+    # scan: the same math.exp and math.hypot calls and float operations
+    mu = cfg.mu
+    amp = ctrl.u / cfg.attacker_params.mu
+    hx, hy = math.cos(ctrl.theta), math.sin(ctrl.theta)
+    a, d = cfg.attacker, cfg.defender
+    ax, ay, avx, avy = a.pos.x, a.pos.y, a.vel.x, a.vel.y
+    dx, dy, dvx, dvy = d.pos.x, d.pos.y, d.vel.x, d.vel.y
+    rate = cfg.defender_params.u_max / cfg.defender_params.mu
+
+    def clearance(t: float) -> float:
+        s = (1.0 - math.exp(-mu * t)) / mu
+        return math.hypot(ax + avx * s + amp * (t - s) * hx - (dx + dvx * s),
+                          ay + avy * s + amp * (t - s) * hy - (dy + dvy * s)) \
+            - rate * (t - s)
+
     taus = np.linspace(t_end / samples, t_end, samples)
     # sampled one float at a time (math.exp, math.hypot): a planned run ends
     # on the capture boundary, where the clearance is zero up to rounding;
     # numpy's exp and hypot round that zero to the other sign on some steps,
     # which moves closed-loop intercept games by up to 3e-8
-    vals = np.array([clearance(t) for t in taus])
+    vals = np.array([clearance(t) for t in taus.tolist()])
     dips = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
     if len(dips) == 0:
         return None

@@ -17,6 +17,11 @@ labels occur), region maps of two seeded moving-defender games, the sha256
 of special1's defender MRR polygon and special1's annotated reach-time index
 pairs.  Labels are stored one character each (see LABEL_CODE), a grid as one
 string per row.
+
+`minima.json` holds `boundary_minima` (payoff, sweep time, side and point of
+every candidate, best first), which tests/test_dominance.py compares exactly,
+for the five bundled configurations and for the step configuration at every
+MINIMA_EVERY-th trace row of case1 and special1_intercept.
 """
 from __future__ import annotations
 
@@ -30,8 +35,9 @@ import numpy as np
 from conftest import make_cfg, random_player
 from reachavoid import (AttackerPolicy, Control, DefenderPolicy, GameConfig,
                         GameTrace, PlayerParams, PlayerState, RegionLabel,
-                        Scenario, Vec2, capture_boundary, classify_point,
-                        mrr_boundary, region_map, run, scenario_io)
+                        Scenario, Vec2, boundary_minima, capture_boundary,
+                        classify_point, mrr_boundary, region_map, run,
+                        scenario_io)
 
 GOLDEN = Path(__file__).resolve().parent
 SCENARIOS = GOLDEN.parents[1] / "scenarios"
@@ -162,6 +168,35 @@ def label_snapshot() -> dict:
     }
 
 
+# every MINIMA_EVERY-th row of these games gives a step configuration
+MINIMA_EVERY = 10
+MINIMA_GAMES = ("case1", "special1_intercept")
+
+
+def _minima(cfg: GameConfig) -> list[list[float]]:
+    return [[float(m.payoff), float(m.t), float(m.side), m.point.x, m.point.y]
+            for m in boundary_minima(cfg)]
+
+
+def minima_configs() -> dict[str, GameConfig]:
+    """The configurations of minima.json, by name."""
+    cfgs = {name: GAMES[name]().cfg for name in
+            ("case1", "case2", "case3", "special1", "special2")}
+    for name in MINIMA_GAMES:
+        sc = GAMES[name]()
+        rows = run(sc).rows
+        for i in range(0, len(rows), MINIMA_EVERY):
+            cfgs[f"{name}@{i}"] = replace(sc.cfg, attacker=rows[i].attacker,
+                                          defender=rows[i].defender)
+    return cfgs
+
+
+def minima_snapshot() -> dict[str, list[list[float]]]:
+    """The compared content of minima.json: per configuration, rows of
+    (payoff, t, side, x, y)."""
+    return {name: _minima(cfg) for name, cfg in minima_configs().items()}
+
+
 def main() -> None:
     for name, make in GAMES.items():
         snap = snapshot(run(make()))
@@ -173,6 +208,10 @@ def main() -> None:
     text = "".join("".join(m) for m in labels["maps"].values()) \
         + "".join(labels["vertices"].values())
     print("labels: " + " ".join(f"{c}={text.count(c)}" for c in LABEL_CODE.values()))
+    minima = minima_snapshot()
+    (GOLDEN / "minima.json").write_text(json.dumps(minima, indent=1) + "\n")
+    print(f"minima: {len(minima)} configurations, "
+          f"{sum(map(len, minima.values()))} candidates")
 
 
 if __name__ == "__main__":

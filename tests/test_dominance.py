@@ -9,9 +9,11 @@ from reachavoid import (Control, InfeasibleTargetError, PlayerParams,
                         boundary_minima, capture_boundary, classify_point,
                         isochron_intersections, propagate, r3_certificates,
                         reach_times, region_map, steer_to, tangency_windows)
-from reachavoid.dominance import (RUN_CHUNK, SAFETY_SAMPLES, arrival_alignment,
-                                  clearance_at, matched_index, run_times,
-                                  straight_runs)
+from reachavoid.dominance import (RUN_CHUNK, SAFETY_SAMPLES,
+                                  _dip_candidates, _intersection_point,
+                                  arrival_alignment,
+                                  clearance_at, intersection_points,
+                                  matched_index, run_times, straight_runs)
 from reachavoid.geometry import point_in_polygon
 
 from conftest import make_cfg, random_player
@@ -36,6 +38,55 @@ class TestIsochronIntersections:
             for p in pts:
                 ratio = (p - xa).norm() / (p - xd).norm()
                 assert abs(ratio - 0.5) < 1e-9
+
+
+class TestIntersectionPoint:
+    """The scalar L point of the replanning step against the array sweep."""
+
+    def test_equals_the_array_rows(self, case2, special1, overtake):
+        rng = np.random.default_rng(61)
+        cfgs = [case2, special1, overtake]
+        for _ in range(6):
+            a, d = random_player(rng, 1.0, 1.0), random_player(rng, 1.0, 2.0)
+            cfgs.append(make_cfg((a.pos.x, a.pos.y), (a.vel.x, a.vel.y),
+                                 (d.pos.x, d.pos.y), (d.vel.x, d.vel.y)))
+        for cfg in cfgs:
+            out, inn = tangency_windows(cfg)
+            # the tangency ends, times inside and outside the window, t = 0
+            ends = np.array([*out.times, *inn.times])
+            ts = np.concatenate([ends, np.nextafter(ends, np.inf),
+                                 np.nextafter(ends, 0.0), [0.0],
+                                 rng.uniform(0.0, 1.5 * inn.first, 64)])
+            plus, minus, valid = intersection_points(cfg, ts)
+            assert 0 < valid.sum() < len(ts)
+            for i, t in enumerate(ts):
+                for side, rows in ((1.0, plus), (-1.0, minus)):
+                    for time in (t, float(t)):
+                        x, y, ok = _intersection_point(cfg, time, side)
+                        assert (x, y) == (rows[i, 0], rows[i, 1])
+                        assert ok == valid[i]
+
+
+    def test_dip_candidates_equal_the_sample_loop(self):
+        def loop(dist, valid):
+            # the per-sample rule that the masks replaced
+            out = []
+            for i in range(len(dist)):
+                if not valid[i]:
+                    continue
+                left = dist[i - 1] if i > 0 else np.inf
+                right = dist[i + 1] if i < len(dist) - 1 else np.inf
+                interior_min = dist[i] <= left and dist[i] <= right
+                if interior_min or i == 0 or i == len(dist) - 1:
+                    out.append(i)
+            return out
+
+        rng = np.random.default_rng(62)
+        for n in [1, 2, 3] * 20 + [8, 17, 512] * 40:
+            # small integers: ties between neighbours are common
+            valid = rng.random(n) < 0.8
+            dist = np.where(valid, rng.integers(0, 4, n).astype(float), np.inf)
+            assert _dip_candidates(dist, valid).tolist() == loop(dist, valid)
 
 
 class TestCaptureBoundary:
@@ -346,3 +397,10 @@ class TestGoldenLabels:
         text = "".join("".join(rows) for rows in golden["maps"].values())
         text += "".join(golden["vertices"].values())
         assert set(text) == set(record.LABEL_CODE.values())
+
+
+def test_boundary_minima_match_golden():
+    """Recorded with the one-element array sweep that the scalar L point
+    replaced (tests/golden/record.py), compared exactly."""
+    golden = json.loads((record.GOLDEN / "minima.json").read_text())
+    assert record.minima_snapshot() == golden

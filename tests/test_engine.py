@@ -1,8 +1,15 @@
+import gc
+import math
+import tracemalloc
+
 import pytest
 
 from reachavoid import (AttackerPolicy, Control, DefenderPolicy, OutcomeKind,
-                        Scenario, Vec2, run, strategy_one, sweep)
+                        Scenario, Vec2, r3_certificates, run, strategy_one,
+                        sweep, tangency_windows)
 from reachavoid.scenario_io import TRACE_COLUMNS, trace_to_csv
+
+from conftest import make_cfg
 
 
 class TestRun:
@@ -119,3 +126,78 @@ class TestTraceCsv:
         assert len(lines) == len(trace.rows) + 1
         cell = lines[1].split(",")[1]
         assert float(cell) == trace.rows[0].attacker.pos.x
+
+
+class TestTraceRows:
+    """GameTrace.rows keeps the behaviour of the tuple of rows it replaced."""
+
+    def test_acts_as_a_tuple_of_rows(self, case2):
+        trace = run(Scenario(cfg=case2))
+        rows = trace.rows
+        listed = list(rows)
+        assert rows and len(rows) == len(listed) == 36
+        assert rows[-1] == listed[-1] == rows[len(rows) - 1]
+        assert rows[0] == listed[0]
+        assert rows[-1].t == trace.outcome.t
+        assert rows[-1].dist_at == trace.outcome.payoff
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        assert [r.t for r in rows[1:4]] == [r.t for r in listed[1:4]]
+        again = run(Scenario(cfg=case2))
+        assert rows == again.rows and hash(rows) == hash(again.rows)
+        assert rows != run(Scenario(cfg=case2, dt=0.0125)).rows
+
+    def test_fields_are_the_csv_floats(self, case3):
+        trace = run(Scenario(cfg=case3))
+        cells = trace_to_csv(trace).split("\n")[1].split(",")
+        r = trace.rows[0]
+        vals = (r.t, r.attacker.pos.x, r.attacker.pos.y, r.attacker.vel.x,
+                r.attacker.vel.y, r.defender.pos.x, r.defender.pos.y,
+                r.defender.vel.x, r.defender.vel.y, r.attacker_ctrl.u,
+                r.attacker_ctrl.theta, r.defender_ctrl.u, r.defender_ctrl.theta,
+                r.dist_ad, r.dist_at)
+        assert all(type(v) is float for v in vals)
+        assert [float(c) for c in cells] == list(vals)
+
+    def test_controls_as_applied(self):
+        # a heading of -1e-17 wraps to exactly 2*pi; wrapping it again gives 0
+        ctrl = Control(0.5, -1e-17)
+        cfg = make_cfg((5.0, 5.0), (0, 0), (7.0, 7.0), (0, 0),
+                       target=(-50.0, -50.0))
+        trace = run(Scenario(cfg=cfg, attacker_policy=AttackerPolicy.CONSTANT,
+                             constant_ctrl=ctrl,
+                             defender_policy=DefenderPolicy.PURE_PURSUIT,
+                             t_max=0.1))
+        assert ctrl.theta == 2.0 * math.pi
+        assert all(r.attacker_ctrl == ctrl for r in trace.rows)
+
+    def test_empty_at_a_t0_event(self):
+        cfg = make_cfg((0.005, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 0.0))
+        trace = run(Scenario(cfg=cfg))
+        assert trace.outcome.kind is OutcomeKind.TARGET_REACHED
+        assert trace.outcome.t == 0.0
+        assert not trace.rows and len(trace.rows) == 0
+        assert list(trace.rows) == []
+        with pytest.raises(IndexError):
+            trace.rows[-1]
+        assert trace_to_csv(trace) == ",".join(TRACE_COLUMNS) + "\n"
+
+    def test_retained_bytes_per_row(self, case1):
+        """The bytes that dropping a finished trace frees, per row: about
+        1,220 while each row held its own state, control and Vec2 objects."""
+        sc = Scenario(cfg=case1)
+        tracemalloc.start()
+        try:
+            trace = run(sc)
+            tangency_windows.cache_clear()
+            r3_certificates.cache_clear()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            rows = len(trace.rows)
+            del trace
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rows == 93
+        assert freed / rows <= 400
