@@ -14,7 +14,9 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,27 +28,28 @@ from .scenario_io import SchemaError
 from .scribe import ScribeMode, scribe_times
 
 
+def _fail(message: str):
+    """Report a bad input on stderr and exit with status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load(path: str):
     try:
         return scenario_io.load(path)
     except FileNotFoundError:
-        print(f"error: scenario file not found: {path}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"scenario file not found: {path}")
     except SchemaError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _apply_overrides(doc, args):
-    sc = doc.scenario
-    if getattr(args, "dt", None) is not None:
-        sc = replace(sc, dt=args.dt)
-    return sc
+        _fail(f"{path}: {exc}")
 
 
 def cmd_simulate(args) -> int:
-    doc = _load(args.scenario)
-    sc = _apply_overrides(doc, args)
+    sc = _load(args.scenario).scenario
+    if args.dt is not None:
+        try:
+            sc = replace(sc, dt=args.dt)
+        except ValueError as exc:
+            _fail(f"--dt: {exc}")
     trace = run(sc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -62,11 +65,14 @@ def cmd_simulate(args) -> int:
 
 def _window_for(doc, args):
     if getattr(args, "window", None):
-        parts = [float(v) for v in args.window.split(",")]
-        if len(parts) != 4 or not (parts[1] > parts[0] and parts[3] > parts[2]):
-            print("error: --window must be xmin,xmax,ymin,ymax with positive "
-                  "extent", file=sys.stderr)
-            raise SystemExit(2)
+        try:
+            parts = [float(v) for v in args.window.split(",")]
+        except ValueError:
+            parts = []
+        if len(parts) != 4 or not all(map(math.isfinite, parts)) \
+                or not (parts[1] > parts[0] and parts[3] > parts[2]):
+            _fail("--window must be four finite numbers xmin,xmax,ymin,ymax "
+                  "with positive extent")
         return tuple(parts)
     if doc.render.window is not None:
         return doc.render.window
@@ -86,8 +92,9 @@ def cmd_regions(args) -> int:
         try:
             nx, ny = (int(v) for v in args.resolution.lower().split("x"))
         except ValueError:
-            print("error: --resolution must look like 80x80", file=sys.stderr)
-            raise SystemExit(2)
+            nx = ny = 0
+        if nx < 2 or ny < 2:
+            _fail("--resolution must look like 80x80, at least 2x2")
         resolution = (nx, ny)
     else:
         resolution = doc.render.resolution
@@ -106,10 +113,7 @@ def cmd_regions(args) -> int:
         overlays["boundary_mrr"] = mrr_lines
     (out / "regions.svg").write_text(
         svgplot.region_figure(cfg, xs, ys, labels, overlays))
-    counts = {}
-    for row in labels:
-        for lab in row:
-            counts[lab.value] = counts.get(lab.value, 0) + 1
+    counts = Counter(lab.value for row in labels for lab in row)
     print(" ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     return 0
 

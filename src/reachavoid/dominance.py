@@ -38,9 +38,9 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (Control, DomainError, InfeasibleTargetError,
-                       PlayerParams, PlayerState, damped_time, isochron,
-                       isochron_xyr, path_xy, steer_to)
-from .geometry import (Vec2, point_in_polygon, polygon_area)
+                       PlayerParams, PlayerState, damped_time, isochron_xyr,
+                       path_xy, steer_to)
+from .geometry import Vec2, point_in_polygon, polygon_area
 from .mrr import CLASSIFY_TOL, merge_roots, mrr_boundary
 from .scribe import (RootSet, ScribeMode, ScribeProblem, reach_times,
                      reach_times_many, scribe_times)
@@ -51,6 +51,8 @@ SWEEP_SAMPLES = 2048
 ANNOTATE_SAMPLES = 600
 # trajectory samples for the straight-run safety check behind R_I
 SAFETY_SAMPLES = 200
+# trajectory samples of the scan for a planned run's first interceptable point
+CROSSING_SAMPLES = 800
 # straight runs evaluated together; bounds the (runs, SAFETY_SAMPLES) arrays
 RUN_CHUNK = 128
 
@@ -192,21 +194,6 @@ def tangency_windows(cfg: GameConfig) -> tuple[RootSet, RootSet]:
     out = scribe_times(cfg.scribe_problem(ScribeMode.CIRCUMSCRIBE))
     inn = scribe_times(cfg.scribe_problem(ScribeMode.INSCRIBE))
     return out, inn
-
-
-def isochron_intersections(cfg: GameConfig, t: float,
-                           tangency_tol: float = 1e-8) -> list[Vec2]:
-    """Intersection points of the two isochrones at one time (0, 1 or 2)."""
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
-    if t == 0.0:
-        return []
-    ia = isochron(cfg.attacker, cfg.attacker_params, t)
-    idf = isochron(cfg.defender, cfg.defender_params, t)
-    d = (idf.center - ia.center).norm()
-    from .geometry import circle_intersections
-    return circle_intersections(ia.center, ia.radius, idf.center, idf.radius,
-                                tangency_tol=tangency_tol * (1.0 + d))
 
 
 def _active_intervals(cfg: GameConfig) -> tuple[float, float, list[tuple[float, float]]]:
@@ -397,13 +384,10 @@ class R3Component:
     def area(self) -> float:
         return abs(polygon_area(self.polygon))
 
-    def contains(self, point: Vec2) -> bool:
-        return point_in_polygon((point.x, point.y), self.polygon)
-
 
 def _cond1_components(cfg: GameConfig) -> list[R3Component]:
     out, inn = tangency_windows(cfg)
-    outs = [t for t in out.times]
+    outs = out.times
     if len(outs) < 2 or outs[1] >= inn.first:
         return []
     t1, t2 = outs[0], outs[1]
@@ -447,12 +431,10 @@ def _defender_time_split(cfg: GameConfig, boundary: CaptureBoundary):
 
 
 def _probe_ok(cfg: GameConfig, probe: Vec2) -> bool:
-    td = reach_times(probe, cfg.defender, cfg.defender_params)
-    texp = td.expanded()
+    texp = reach_times(probe, cfg.defender, cfg.defender_params).expanded()
     if len(texp) < 3:
         return False
-    ta = reach_times(probe, cfg.attacker, cfg.attacker_params)
-    t_a = ta.first
+    t_a = reach_times(probe, cfg.attacker, cfg.attacker_params).first
     return texp[0] < t_a < texp[1]
 
 
@@ -528,8 +510,7 @@ def _cond2_components(cfg: GameConfig) -> list[R3Component]:
 @lru_cache(maxsize=32)
 def r3_certificates(cfg: GameConfig) -> tuple[R3Component, ...]:
     """Certified third-region components for a configuration (cached)."""
-    comps = _cond1_components(cfg) + _cond2_components(cfg)
-    return tuple(comps)
+    return tuple(_cond1_components(cfg) + _cond2_components(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -641,15 +622,15 @@ def _race(ea, ed):
     return tol, [(t < first) | ((gap_lo < t) & (t < gap_hi)) for t in ea]
 
 
-def race(cfg: GameConfig, point: Vec2) -> tuple[RootSet, RootSet, float, list[float]]:
-    """(attacker roots, defender roots, merge tolerance, winning attacker times)
-    at `point`.  An attacker time wins before the defender's first arrival or
-    inside the defender's gap (t_D2, t_D3), when the defender cannot be there."""
+def race(cfg: GameConfig, point: Vec2) -> list[float]:
+    """The attacker's winning reach times at `point`.  An attacker time wins
+    before the defender's first arrival or inside the defender's gap
+    (t_D2, t_D3), when the defender cannot be there."""
     ta = reach_times(point, cfg.attacker, cfg.attacker_params)
     td = reach_times(point, cfg.defender, cfg.defender_params)
     ea, ed = ((r.expanded() + [math.nan] * 3)[:3] for r in (ta, td))
-    tol, wins = _race(ea, ed)
-    return ta, td, float(tol), [t for t, w in zip(ea, wins) if w]
+    _, wins = _race(ea, ed)
+    return [t for t, w in zip(ea, wins) if w]
 
 
 def classify_point(cfg: GameConfig, point: Vec2) -> RegionLabel:

@@ -394,21 +394,3 @@ def run(sc: Scenario) -> GameTrace:
     return GameTrace(sc, TraceRows(rows), Outcome(kind, t, dist_at, a.pos),
                      tuple(tracker.notes), tuple(tracker.switches))
 
-
-@dataclass(frozen=True)
-class TraceSummary:
-    outcome: Optional[Outcome]
-    steps: int
-    error: Optional[str] = None
-
-
-def sweep(scenarios: list[Scenario]) -> list[TraceSummary]:
-    """Run scenarios independently; per-scenario failures stay isolated."""
-    out = []
-    for sc in scenarios:
-        try:
-            trace = run(sc)
-            out.append(TraceSummary(outcome=trace.outcome, steps=len(trace.rows)))
-        except Exception as exc:  # noqa: BLE001 - isolation is the contract
-            out.append(TraceSummary(outcome=None, steps=0, error=str(exc)))
-    return out

@@ -1,9 +1,9 @@
-"""Small planar-geometry toolkit: vectors, circle intersections, polygons.
+"""Small planar-geometry toolkit: vectors and polygons.
 
 Everything in the game lives in the plane, so a tiny immutable 2-vector plus a
-handful of circle/polygon routines is all the geometry the rest of the library
-needs.  Heavier sweeps (boundary sampling, region grids) convert to numpy
-arrays internally; `Vec2` is the currency at API boundaries.
+pair of polygon routines is all the geometry the rest of the library needs.
+Heavier sweeps (boundary sampling, region grids) convert to numpy arrays
+internally; `Vec2` is the currency at API boundaries.
 """
 from __future__ import annotations
 
@@ -55,10 +55,6 @@ class Vec2:
     def norm_sq(self) -> float:
         return self.x * self.x + self.y * self.y
 
-    def perp(self) -> "Vec2":
-        # counter-clockwise quarter turn
-        return Vec2(-self.y, self.x)
-
     def unit(self) -> "Vec2":
         n = self.norm()
         if n == 0.0:
@@ -71,32 +67,6 @@ class Vec2:
     @staticmethod
     def from_polar(r: float, theta: float) -> "Vec2":
         return Vec2(r * math.cos(theta), r * math.sin(theta))
-
-
-def circle_intersections(c0: Vec2, r0: float, c1: Vec2, r1: float,
-                         tangency_tol: float = 0.0) -> list[Vec2]:
-    """Intersection points of two circles.
-
-    Returns 0, 1 (tangency within `tangency_tol`, absolute in distance units)
-    or 2 points.  The two-point case lists the point on the counter-clockwise
-    side of the center line (c0 -> c1) first.
-    """
-    dvec = c1 - c0
-    d = dvec.norm()
-    if d == 0.0:
-        return []
-    lo, hi = abs(r0 - r1), r0 + r1
-    if d > hi + tangency_tol or d < lo - tangency_tol:
-        return []
-    a = (d * d + r0 * r0 - r1 * r1) / (2.0 * d)
-    h_sq = r0 * r0 - a * a
-    u = Vec2(dvec.x / d, dvec.y / d)
-    mid = c0 + a * u
-    if h_sq <= 0.0 or d >= hi - tangency_tol or d <= lo + tangency_tol:
-        return [mid]
-    h = math.sqrt(h_sq)
-    n = u.perp()
-    return [mid + h * n, mid - h * n]
 
 
 def polygon_area(points: np.ndarray) -> float:

@@ -242,11 +242,12 @@ def find_zero(f: Callable[[float], float], lo: float,
     return 0.5 * (a + b)
 
 
-def scribe_times(p: ScribeProblem, tol: float = ROOT_TOL) -> RootSet:
+def scribe_times(p: ScribeProblem) -> RootSet:
     """All positive tangency times of the two isochron families.
 
-    Guaranteed to return between one and three times.  Exact tangencies of the
-    gap at an interior extremum are reported once with multiplicity 2.
+    Guaranteed to return between one and three times, each bisected to
+    ROOT_TOL.  Exact tangencies of the gap at an interior extremum are
+    reported once with multiplicity 2.
     """
     mu, cap, scale = p.mu, p.cap, p.scale
     g = lambda t: gap(p, t)
@@ -255,7 +256,7 @@ def scribe_times(p: ScribeProblem, tol: float = ROOT_TOL) -> RootSet:
     t0 = 1e-13 / mu
 
     def one(lo: float = t0) -> RootSet:
-        r = find_zero(g, lo, None, tol, expand_start=1.0 / mu, expand_cap=cap)
+        r = find_zero(g, lo, None, expand_start=1.0 / mu, expand_cap=cap)
         if r is None:
             raise RuntimeError("gap function never changed sign; "
                                "bracket cap too small for this problem")
@@ -268,7 +269,7 @@ def scribe_times(p: ScribeProblem, tol: float = ROOT_TOL) -> RootSet:
         return one()          # gap rises once then falls: still a single zero
 
     # wiggle case: locate the single inflection of the gap, then its extrema
-    t_infl = find_zero(g2, t0, None, tol, expand_start=1.0 / mu, expand_cap=cap)
+    t_infl = find_zero(g2, t0, None, expand_start=1.0 / mu, expand_cap=cap)
     if t_infl is None:
         return one()          # gap'' single-signed: gap monotone decreasing
     slope_scale = max(mu * scale, 1e-300)
@@ -280,9 +281,8 @@ def scribe_times(p: ScribeProblem, tol: float = ROOT_TOL) -> RootSet:
         return RootSet((t_infl,), (2,))
     if g1(t_infl) <= 0.0:
         return one()          # gap' never positive: gap monotone decreasing
-    t_lo = find_zero(g1, t0, t_infl, tol) if g1(t0) < 0.0 else t0
-    t_hi = find_zero(g1, t_infl, None, tol,
-                     expand_start=2.0 * t_infl, expand_cap=cap)
+    t_lo = find_zero(g1, t0, t_infl) if g1(t0) < 0.0 else t0
+    t_hi = find_zero(g1, t_infl, None, expand_start=2.0 * t_infl, expand_cap=cap)
     if t_lo is None or t_hi is None:
         return one()
     g_lo, g_hi = g(t_lo), g(t_hi)
@@ -292,31 +292,30 @@ def scribe_times(p: ScribeProblem, tol: float = ROOT_TOL) -> RootSet:
         # extrema collapse onto the axis together: inflection tangency
         return RootSet((0.5 * (t_lo + t_hi),), (2,))
     if abs(g_lo) < eps:
-        third = find_zero(g, t_hi, None, tol,
-                          expand_start=2.0 * t_hi, expand_cap=cap)
+        third = find_zero(g, t_hi, None, expand_start=2.0 * t_hi, expand_cap=cap)
         if g_hi > 0.0 and third is not None:
             return RootSet((t_lo, third), (2, 1))
         return RootSet((t_lo,), (2,))
     if abs(g_hi) < eps:
         if g_lo < 0.0:
-            first = find_zero(g, t0, t_lo, tol)
+            first = find_zero(g, t0, t_lo)
             if first is not None:
                 return RootSet((first, t_hi), (1, 2))
         return RootSet((t_hi,), (2,))
     if g_lo > 0.0:
         return one(t_hi)      # dip never reaches zero; single late crossing
     if g_hi < 0.0:
-        r = find_zero(g, t0, t_lo, tol)
+        r = find_zero(g, t0, t_lo)
         return RootSet((r,), (1,))
-    r1 = find_zero(g, t0, t_lo, tol)
-    r2 = find_zero(g, t_lo, t_hi, tol)
-    r3 = find_zero(g, t_hi, None, tol, expand_start=2.0 * t_hi, expand_cap=cap)
+    r1 = find_zero(g, t0, t_lo)
+    r2 = find_zero(g, t_lo, t_hi)
+    r3 = find_zero(g, t_hi, None, expand_start=2.0 * t_hi, expand_cap=cap)
     roots = [r for r in (r1, r2, r3) if r is not None]
     return RootSet(tuple(roots), tuple([1] * len(roots)))
 
 
-def reach_times(point: Vec2, state: PlayerState, params: PlayerParams,
-                tol: float = ROOT_TOL) -> RootSet:
+def reach_times(point: Vec2, state: PlayerState,
+                params: PlayerParams) -> RootSet:
     """All times at which the player's isochron passes through `point`.
 
     Reduction: a zero-thrust phantom player parked at `point` turns passage
@@ -337,7 +336,7 @@ def reach_times(point: Vec2, state: PlayerState, params: PlayerParams,
             return vnorm * s - (params.u_max / mu) * (t - s)
 
         lo = 1e-9 / mu
-        back = find_zero(g_home, lo, None, tol,
+        back = find_zero(g_home, lo, None,
                          expand_start=1.0 / mu, expand_cap=CAP_FACTOR / mu)
         if back is None:
             return RootSet((0.0,), (1,))
@@ -345,12 +344,12 @@ def reach_times(point: Vec2, state: PlayerState, params: PlayerParams,
     problem = ScribeProblem(delta_x=offset, delta_v=-state.vel, mu=params.mu,
                             u_a=0.0, u_d=params.u_max,
                             mode=ScribeMode.CIRCUMSCRIBE)
-    return scribe_times(problem, tol)
+    return scribe_times(problem)
 
 
 
 def _find_zero_many(f, c: ScribeBatch, lo: np.ndarray,
-                    hi: Optional[np.ndarray] = None, tol: float = ROOT_TOL,
+                    hi: Optional[np.ndarray] = None,
                     expand_start: Optional[np.ndarray] = None,
                     expand_cap: Optional[np.ndarray] = None) -> np.ndarray:
     """find_zero(lambda t: f(c[i], t), ...) for every problem i of batch c.
@@ -375,7 +374,7 @@ def _find_zero_many(f, c: ScribeBatch, lo: np.ndarray,
     else:
         live &= ~(flo * f(c, hi) > 0.0)
     a, b, fa = lo, hi, flo
-    todo = live & (b - a > tol)
+    todo = live & (b - a > ROOT_TOL)
     while todo.any():
         m = 0.5 * (a + b)
         fm = f(c, m)
@@ -388,7 +387,7 @@ def _find_zero_many(f, c: ScribeBatch, lo: np.ndarray,
         b = np.where(left, m, b)
         a = np.where(right, m, a)
         fa = np.where(right, fm, fa)
-        todo = live & (b - a > tol)
+        todo = live & (b - a > ROOT_TOL)
     return np.where(live, 0.5 * (a + b), root)
 
 
@@ -424,7 +423,7 @@ def scribe_times_batch(batch: ScribeBatch) -> tuple[np.ndarray, np.ndarray]:
         if len(idx):
             out[idx] = _find_zero_many(
                 f, batch.take(idx), lo[idx], None if hi is None else hi[idx],
-                ROOT_TOL, None if start is None else start[idx], cap[idx])
+                None if start is None else start[idx], cap[idx])
         return out
 
     # rows owed scribe_times's one(lo): the single crossing after one_lo

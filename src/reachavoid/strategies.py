@@ -25,9 +25,10 @@ import numpy as np
 
 from .dynamics import (Control, InfeasibleTargetError, damped_time, propagate,
                        steer_to)
-from .dominance import (BoundaryMinimum, GameConfig, RegionLabel,
-                        arrival_alignment, boundary_minima, matched_index,
-                        r3_certificates, race, safe_straight_run)
+from .dominance import (CROSSING_SAMPLES, BoundaryMinimum, GameConfig,
+                        RegionLabel, arrival_alignment, boundary_minima,
+                        matched_index, r3_certificates, race,
+                        safe_straight_run)
 from .geometry import Vec2
 from .scribe import find_zero, reach_times
 
@@ -104,7 +105,7 @@ def costate_record(cfg: GameConfig, plan: TerminalPlan, t: Optional[float] = Non
 
 def target_in_adr(cfg: GameConfig) -> bool:
     """True when the attacker out-races the defender to the target itself."""
-    return bool(race(cfg, cfg.target)[3])
+    return bool(race(cfg, cfg.target))
 
 
 def plan_for_point(cfg: GameConfig, point: Vec2, t_f: float,
@@ -124,7 +125,7 @@ def plan_for_point(cfg: GameConfig, point: Vec2, t_f: float,
                         region=RegionLabel.BOUNDARY_L, payoff=payoff)
 
 
-def strategy_one(cfg: GameConfig, check_h: bool = True) -> TerminalPlan:
+def strategy_one(cfg: GameConfig) -> TerminalPlan:
     """Drive both players to the boundary point closest to the target.
 
     Raises AttackerWinsError when the target itself is in the attacker's
@@ -132,7 +133,7 @@ def strategy_one(cfg: GameConfig, check_h: bool = True) -> TerminalPlan:
     InfeasibleTargetError when no boundary dip exists at all.
     """
     best = _select_minimum(cfg, None, PLAN_SWITCH_MARGIN)
-    return plan_for_point(cfg, best.point, best.t, check_h=check_h)
+    return plan_for_point(cfg, best.point, best.t)
 
 
 def hamiltonian_check(cfg: GameConfig, point: Vec2) -> Optional[bool]:
@@ -163,20 +164,6 @@ def hamiltonian_check(cfg: GameConfig, point: Vec2) -> Optional[bool]:
     compatible = (j == 2) == (k == 2)
     residual = abs(math.copysign(1.0, s_a) - math.copysign(1.0, s_d))
     return bool(compatible and residual <= H_RESIDUAL_TOL)
-
-
-def mrr_strategy(cfg: GameConfig, point: Vec2) -> Control:
-    """Reduced-thrust control whose arrival matches the defender's middle time.
-
-    Only meaningful for points inside the defender's multiple reachable region
-    with the attacker's saturated arrival falling before that middle time.
-    """
-    td = reach_times(point, cfg.defender, cfg.defender_params).expanded()
-    if len(td) < 3:
-        raise InfeasibleTargetError(
-            "point is outside the defender's multiple reachable region")
-    t_d2 = td[1]
-    return steer_to(cfg.attacker, cfg.attacker_params, point, t_d2)
 
 
 def pure_pursuit(cfg: GameConfig, who: str,
@@ -250,8 +237,8 @@ def can_reach_target(cfg: GameConfig) -> Optional[Control]:
     return safe_straight_run(cfg, cfg.target, roots.expanded())
 
 
-def first_unsafe_crossing(cfg: GameConfig, ctrl: Control, t_end: float,
-                          samples: int = 800) -> Optional[tuple[Vec2, float]]:
+def first_unsafe_crossing(cfg: GameConfig, ctrl: Control,
+                          t_end: float) -> Optional[tuple[Vec2, float]]:
     """First point where the attacker's planned run becomes interceptable.
 
     Scans the clearance (attacker path distance to the defender's disc at
@@ -276,7 +263,7 @@ def first_unsafe_crossing(cfg: GameConfig, ctrl: Control, t_end: float,
                           ay + avy * s + amp * (t - s) * hy - (dy + dvy * s)) \
             - rate * (t - s)
 
-    taus = np.linspace(t_end / samples, t_end, samples)
+    taus = np.linspace(t_end / CROSSING_SAMPLES, t_end, CROSSING_SAMPLES)
     # sampled one float at a time (math.exp, math.hypot): a planned run ends
     # on the capture boundary, where the clearance is zero up to rounding;
     # numpy's exp and hypot round that zero to the other sign on some steps,
@@ -320,10 +307,7 @@ def best_r3_point(cfg: GameConfig) -> Optional[tuple[Vec2, float, Control]]:
             if best is None or cand[0] < best[0]:
                 best = cand
             break  # vertices are sorted by payoff; first feasible one wins
-    if best is None:
-        return None
-    _, p, t_d2, ctrl = best
-    return p, t_d2, ctrl
+    return None if best is None else best[1:]
 
 
 def choose_plan(cfg: GameConfig, previous: Optional[Vec2],

@@ -7,8 +7,8 @@ import pytest
 from reachavoid import (Control, InfeasibleTargetError, PlayerParams,
                         PlayerState, R3Condition, RegionLabel, Vec2,
                         boundary_minima, capture_boundary, classify_point,
-                        isochron_intersections, propagate, r3_certificates,
-                        reach_times, region_map, steer_to, tangency_windows)
+                        propagate, r3_certificates, reach_times, region_map,
+                        steer_to, tangency_windows)
 from reachavoid.dominance import (RUN_CHUNK, SAFETY_SAMPLES,
                                   _dip_candidates, _intersection_point,
                                   arrival_alignment,
@@ -21,23 +21,29 @@ from golden import record
 
 
 class TestIsochronIntersections:
+    """The intersection pair of the two isochrones, as intersection_points
+    sweeps it."""
+
     def test_zero_time_no_points(self, case3):
-        assert isochron_intersections(case3, 0.0) == []
+        _, _, valid = intersection_points(case3, np.array([0.0]))
+        assert not valid[0]
 
     def test_tangency_at_first_circumscribe(self, case3):
         out, _ = tangency_windows(case3)
-        pts = isochron_intersections(case3, out.first)
-        assert len(pts) == 1
+        plus, minus, valid = intersection_points(case3, np.array([out.first]))
+        assert valid[0]
+        assert np.hypot(*(plus[0] - minus[0])) < 1e-5
 
     def test_apollonius_ratio_along_the_window(self, case3):
         out, inn = tangency_windows(case3)
         xa, xd = case3.attacker.pos, case3.defender.pos
-        for t in np.linspace(out.first * 1.001, inn.first * 0.999, 17):
-            pts = isochron_intersections(case3, float(t))
-            assert len(pts) == 2
-            for p in pts:
-                ratio = (p - xa).norm() / (p - xd).norm()
-                assert abs(ratio - 0.5) < 1e-9
+        ts = np.linspace(out.first * 1.001, inn.first * 0.999, 17)
+        plus, minus, valid = intersection_points(case3, ts)
+        assert valid.all()
+        for pts in (plus, minus):
+            ratio = (np.hypot(pts[:, 0] - xa.x, pts[:, 1] - xa.y)
+                     / np.hypot(pts[:, 0] - xd.x, pts[:, 1] - xd.y))
+            assert np.abs(ratio - 0.5).max() < 1e-9
 
 
 class TestIntersectionPoint:

@@ -6,7 +6,7 @@ import pytest
 
 from reachavoid import (AttackerPolicy, Control, DefenderPolicy, OutcomeKind,
                         Scenario, Vec2, r3_certificates, run, strategy_one,
-                        sweep, tangency_windows)
+                        tangency_windows)
 from reachavoid.scenario_io import TRACE_COLUMNS, trace_to_csv
 
 from conftest import make_cfg
@@ -80,23 +80,6 @@ class TestNashOrdering:
         assert both.kind is OutcomeKind.CAPTURED
         assert att_dev.payoff > both.payoff + 0.01
         assert both.payoff > def_dev.payoff + 0.01
-
-
-class TestSweep:
-    def test_empty(self):
-        assert sweep([]) == []
-
-    def test_repeat_is_identical(self, case3):
-        s = Scenario(cfg=case3)
-        a, b = sweep([s, s])
-        assert a == b
-
-    def test_batch_matches_individual_runs(self, case1, case2, case3):
-        scs = [Scenario(cfg=c) for c in (case1, case2, case3)]
-        batch = sweep(scs)
-        for sc, summary in zip(scs, batch):
-            assert summary.error is None
-            assert summary.outcome == run(sc).outcome
 
 
 class TestScenarioValidation:

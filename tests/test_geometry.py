@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from reachavoid.geometry import (Vec2, circle_intersections,
-                                 point_in_polygon, polygon_area, wrap_angle)
+from reachavoid.geometry import (Vec2, point_in_polygon, polygon_area,
+                                 wrap_angle)
 
 
 class TestVec2:
@@ -15,7 +15,6 @@ class TestVec2:
         assert a - b == Vec2(1.5, 1.75)
         assert 2.0 * a == Vec2(2.0, 4.0)
         assert a.dot(b) == pytest.approx(0.0)
-        assert a.perp() == Vec2(-2.0, 1.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -31,24 +30,6 @@ class TestAngles:
     def test_wrap(self):
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
         assert wrap_angle(5 * math.pi) == pytest.approx(math.pi)
-
-
-class TestCircles:
-    def test_two_points(self):
-        pts = circle_intersections(Vec2(0, 0), 1.0, Vec2(1, 0), 1.0)
-        assert len(pts) == 2
-        for p in pts:
-            assert p.norm() == pytest.approx(1.0, abs=1e-12)
-            assert (p - Vec2(1, 0)).norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_tangency(self):
-        pts = circle_intersections(Vec2(0, 0), 1.0, Vec2(2, 0), 1.0,
-                                   tangency_tol=1e-9)
-        assert pts == [Vec2(1.0, 0.0)]
-
-    def test_separated_and_contained(self):
-        assert circle_intersections(Vec2(0, 0), 1.0, Vec2(5, 0), 1.0) == []
-        assert circle_intersections(Vec2(0, 0), 3.0, Vec2(0.5, 0), 1.0) == []
 
 
 class TestPolygons:

@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
-from reachavoid import RegionLabel, run
+from reachavoid import RegionLabel, r3_certificates, run, tangency_windows
 from reachavoid.cli import main
 from reachavoid.scenario_io import (SchemaError, dumps, load, loads,
                                     regions_to_csv, trace_to_csv)
@@ -157,6 +158,20 @@ class TestCliRegions:
                   "--out", str(tmp_path), "--window", "1,1,0,2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, scenario, override", [
+        ("regions", "special1.json", ["--window", "0,1,x,2"]),
+        ("regions", "special1.json", ["--window", "0,inf,0,1"]),
+        ("regions", "special1.json", ["--resolution", "1x5"]),
+        ("simulate", "case1.json", ["--dt", "0.5"]),
+    ])
+    def test_invalid_override_rejected(self, tmp_path, capsys, command,
+                                       scenario, override):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(SCENARIOS / scenario), "--out", str(tmp_path),
+                  *override])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCliScribe:
     def test_colinear_rest_table(self, tmp_path, capsys):
@@ -208,3 +223,22 @@ class TestCliMrr:
                    "--player", "attacker", "--out", str(tmp_path)])
         assert rc == 0
         assert "at rest" in capsys.readouterr().out
+
+
+class TestSilence:
+    """Callers read the library's output streams: `run` prints nothing, and
+    neither a game nor a region map writes to stderr or warns."""
+
+    def test_run_and_regions_write_nothing_unasked(self, tmp_path, capfd):
+        tangency_windows.cache_clear()
+        r3_certificates.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in ("case1", "case2", "case3", "special1", "special2"):
+                run(load(SCENARIOS / f"{name}.json").scenario)
+            out, err = capfd.readouterr()
+            assert (out, err) == ("", "")
+            rc = main(["regions", str(SCENARIOS / "special1.json"),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert capfd.readouterr().err == ""

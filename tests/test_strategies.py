@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from reachavoid import (AttackerWinsError, InfeasibleTargetError,
-                        PlayerParams, PlayerState, Vec2, apollonius_circle,
-                        apollonius_plan, best_r3_point, boundary_minima,
-                        can_reach_target, choose_plan, hamiltonian_check,
-                        mrr_strategy, plan_for_point, propagate, pure_pursuit,
-                        r3_certificates, reach_times, steer_to, strategy_one)
+from reachavoid import (AttackerWinsError, PlayerParams, PlayerState, Vec2,
+                        apollonius_circle, apollonius_plan, best_r3_point,
+                        boundary_minima, can_reach_target, choose_plan,
+                        hamiltonian_check, plan_for_point, propagate,
+                        pure_pursuit, r3_certificates, reach_times, steer_to,
+                        strategy_one)
 
 from conftest import make_cfg
 
@@ -121,10 +121,6 @@ class TestMrrStrategy:
             circ.radius, (point - circ.center).angle())
         ctrl = steer_to(special1.attacker, special1.attacker_params, edge, t_arr)
         assert ctrl.u == pytest.approx(1.0, abs=1e-9)
-
-    def test_outside_region_rejected(self, case3):
-        with pytest.raises(InfeasibleTargetError):
-            mrr_strategy(case3, Vec2(0.5, 0.5))
 
 
 class TestPurePursuit:
