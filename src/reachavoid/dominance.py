@@ -53,6 +53,8 @@ ANNOTATE_SAMPLES = 600
 SAFETY_SAMPLES = 200
 # trajectory samples of the scan for a planned run's first interceptable point
 CROSSING_SAMPLES = 800
+# |clearance| that the scan evaluates again on floats, per unit of run length
+CROSSING_BAND = 1e-9
 # straight runs evaluated together; bounds the (runs, SAFETY_SAMPLES) arrays
 RUN_CHUNK = 128
 
@@ -162,30 +164,32 @@ def intersection_points(cfg: GameConfig, ts: np.ndarray):
     return plus, minus, valid
 
 
-def _intersection_point(cfg: GameConfig, t: float,
-                       side: float) -> tuple[float, float, bool]:
-    """One row of `intersection_points` at a float time: x and y of the plus
-    (side >= 0) or minus point, and whether the isochrones intersect.
+def _l_point(cfg: GameConfig, side: float):
+    """A row of `intersection_points` as a function of a float time t, with
+    the players' floats bound once: the plus (side >= 0) or minus point's x
+    and y, and whether the isochrones intersect.  The same operations on
+    floats, so the same bits: np.exp and np.hypot round a float exactly as
+    they round an array element, and the clip is a max."""
+    atk, dfd = cfg.attacker, cfg.defender
+    ax0, ay0, avx, avy = atk.pos.x, atk.pos.y, atk.vel.x, atk.vel.y
+    dx0, dy0, dvx, dvy = dfd.pos.x, dfd.pos.y, dfd.vel.x, dfd.vel.y
+    rate_a, rate_d = cfg.attacker_params.speed_cap, cfg.defender_params.speed_cap
+    mu, sign = cfg.mu, 1.0 if side >= 0 else -1.0
 
-    The same operations on floats, so the same bits: np.exp and np.hypot round
-    a float exactly as they round an array element, and the clip is a max.
-    """
-    t = float(t)
-    mu = cfg.mu
-    s = (1.0 - float(np.exp(-mu * t))) / mu
-    ax, ay, ra = isochron_xyr(cfg.attacker, cfg.attacker_params, t, s)
-    dx, dy, rd = isochron_xyr(cfg.defender, cfg.defender_params, t, s)
-    ux, uy = dx - ax, dy - ay
-    d = float(np.hypot(ux, uy))
-    valid = d > 0.0 and d <= ra + rd and d >= abs(ra - rd)
-    dd = d if d > 0.0 else 1.0
-    a = (dd * dd + ra * ra - rd * rd) / (2.0 * dd)
-    h = math.sqrt(max(ra * ra - a * a, 0.0))
-    ux, uy = ux / dd, uy / dd
-    mx, my = ax + a * ux, ay + a * uy
-    if side >= 0:
+    def point(t: float) -> tuple[float, float, bool]:
+        s = (1.0 - float(np.exp(-mu * t))) / mu
+        ax, ay, ra = ax0 + avx * s, ay0 + avy * s, rate_a * (t - s)
+        ux, uy, rd = dx0 + dvx * s - ax, dy0 + dvy * s - ay, rate_d * (t - s)
+        d = float(np.hypot(ux, uy))
+        valid = d > 0.0 and d <= ra + rd and d >= abs(ra - rd)
+        dd = d if d > 0.0 else 1.0
+        a = (dd * dd + ra * ra - rd * rd) / (2.0 * dd)
+        # the minus point's offset is the exact negation of the plus point's
+        h = sign * math.sqrt(max(ra * ra - a * a, 0.0))
+        ux, uy = ux / dd, uy / dd
+        mx, my = ax + a * ux, ay + a * uy
         return mx - h * uy, my + h * ux, valid
-    return mx + h * uy, my - h * ux, valid
+    return point
 
 
 @lru_cache(maxsize=256)
@@ -202,8 +206,9 @@ def _active_intervals(cfg: GameConfig) -> tuple[float, float, list[tuple[float, 
     events = sorted({t_out, t_in, *[r for r in out.times if t_out < r < t_in],
                      *[r for r in inn.times if t_out < r < t_in]})
     intervals = []
+    point = _l_point(cfg, 1.0)
     for a, b in zip(events[:-1], events[1:]):
-        if _intersection_point(cfg, 0.5 * (a + b), 1.0)[2]:
+        if point(0.5 * (a + b))[2]:
             intervals.append((a, b))
     return t_out, t_in, intervals
 
@@ -345,19 +350,19 @@ def boundary_minima(cfg: GameConfig, samples: int = 512) -> list[BoundaryMinimum
     for a, b in intervals:
         ts = np.linspace(a, b, samples)
         plus, minus, valid = intersection_points(cfg, ts)
+        ts = ts.tolist()
         for side, pts in ((1.0, plus), (-1.0, minus)):
             dist = np.hypot(pts[:, 0] - tx, pts[:, 1] - ty)
             dist = np.where(valid, dist, np.inf)
+            point = _l_point(cfg, side)
+
+            def f(t: float) -> float:
+                x, y, _ = point(t)
+                return math.hypot(x - tx, y - ty)
+
             for i in _dip_candidates(dist, valid):
-                lo = ts[max(i - 1, 0)]
-                hi = ts[min(i + 1, len(ts) - 1)]
-
-                def f(t: float) -> float:
-                    x, y, _ = _intersection_point(cfg, t, side)
-                    return math.hypot(x - tx, y - ty)
-
-                t_star = _golden_min(f, lo, hi)
-                x, y, _ = _intersection_point(cfg, t_star, side)
+                t_star = _golden_min(f, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)])
+                x, y, _ = point(t_star)
                 found.append(BoundaryMinimum(payoff=math.hypot(x - tx, y - ty),
                                              t=t_star, side=side, point=Vec2(x, y)))
     found.sort(key=lambda m: (round(m.payoff / 1e-9), m.t, m.point.angle()))

@@ -42,8 +42,9 @@ class PlayerParams:
     def __post_init__(self):
         if not self.mu > 0.0:
             raise ValueError(f"damping factor must be positive, got {self.mu}")
-        if self.u_max < 0.0:
-            raise ValueError(f"acceleration bound must be >= 0, got {self.u_max}")
+        if not 0.0 <= self.u_max < math.inf:
+            raise ValueError("acceleration bound must be finite and >= 0, "
+                             f"got {self.u_max}")
 
     @property
     def speed_cap(self) -> float:

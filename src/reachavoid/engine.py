@@ -12,14 +12,15 @@ stepped over.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import (Control, InfeasibleTargetError, PlayerState, propagate,
-                       steer_to)
+from .dynamics import (Control, InfeasibleTargetError, PlayerState,
+                       damped_time, path_xy, propagate, steer_to)
 from .dominance import GameConfig
 from .geometry import Vec2
 from .strategies import (AttackerWinsError, PLAN_SWITCH_MARGIN, TerminalPlan,
@@ -73,8 +74,12 @@ class Scenario:
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.05):
             raise ValueError("step must be positive and at most 0.05")
-        if self.eps_capture <= 0.0 or self.eps_target <= 0.0:
+        if not (self.eps_capture > 0.0 and self.eps_target > 0.0):
             raise ValueError("event radii must be positive")
+        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
+        if not self.plan_switch_margin >= 0.0:
+            raise ValueError("plan_switch_margin must be >= 0")
         if self.attacker_policy is AttackerPolicy.CONSTANT and self.constant_ctrl is None:
             raise ValueError("constant attacker policy needs constant_ctrl")
         if self.defender_policy is DefenderPolicy.MATCH_MRR \
@@ -166,10 +171,6 @@ class GameTrace:
     @property
     def payoff(self) -> float:
         return self.outcome.payoff
-
-
-def _dists(cfg: GameConfig, a: PlayerState, d: PlayerState) -> tuple[float, float]:
-    return (a.pos - d.pos).norm(), (a.pos - cfg.target).norm()
 
 
 # a tracked plan point relocating farther than this is a discrete switch
@@ -320,16 +321,25 @@ def _act(who: str, policy, cfg: GameConfig, sc: Scenario, t: float,
     return ctrl
 
 
+def _dists(cfg: GameConfig, a: PlayerState, d: PlayerState, ca: Control,
+           cd: Control, h: float) -> tuple[float, float]:
+    """Attacker-defender and attacker-target distances after time h: those of
+    propagate's states, without the states or its control-bound check."""
+    s = damped_time(cfg.mu, h)
+    ax, ay = path_xy(a, cfg.attacker_params, ca, h, s)
+    dx, dy = path_xy(d, cfg.defender_params, cd, h, s)
+    tx, ty = cfg.target.x, cfg.target.y
+    return math.hypot(ax - dx, ay - dy), math.hypot(ax - tx, ay - ty)
+
+
 def _event_time(cfg: GameConfig, a: PlayerState, d: PlayerState,
                 ca: Control, cd: Control, dt: float,
                 eps_capture: float, eps_target: float) -> Optional[tuple[float, OutcomeKind]]:
     """Earliest in-step crossing of either terminal ball, or None."""
 
     def margins(h: float) -> tuple[float, float]:
-        pa = propagate(a, cfg.attacker_params, ca, h)
-        pd = propagate(d, cfg.defender_params, cd, h)
-        return ((pa.pos - pd.pos).norm() - eps_capture,
-                (pa.pos - cfg.target).norm() - eps_target)
+        dist_ad, dist_at = _dists(cfg, a, d, ca, cd, h)
+        return dist_ad - eps_capture, dist_at - eps_target
 
     hs = [dt * k / DETECT_SUBSTEPS for k in range(DETECT_SUBSTEPS + 1)]
     prev = margins(0.0)
@@ -364,13 +374,11 @@ def run(sc: Scenario) -> GameTrace:
                      ctrl_a.u, ctrl_a.theta, ctrl_d.u, ctrl_d.theta,
                      dist_ad, dist_at))
 
-    dist_ad, dist_at = _dists(cfg, a, d)
-    if dist_ad <= sc.eps_capture:
-        outcome = Outcome(OutcomeKind.CAPTURED, 0.0, dist_at, a.pos)
-        return GameTrace(sc, TraceRows(rows), outcome)
-    if dist_at <= sc.eps_target:
-        outcome = Outcome(OutcomeKind.TARGET_REACHED, 0.0, dist_at, a.pos)
-        return GameTrace(sc, TraceRows(rows), outcome)
+    dist_ad, dist_at = (a.pos - d.pos).norm(), (a.pos - cfg.target).norm()
+    for kind, hit in ((OutcomeKind.CAPTURED, dist_ad <= sc.eps_capture),
+                      (OutcomeKind.TARGET_REACHED, dist_at <= sc.eps_target)):
+        if hit:
+            return GameTrace(sc, TraceRows(rows), Outcome(kind, 0.0, dist_at, a.pos))
 
     # a step without a terminal event leaves the outcome at TIMEOUT
     kind = OutcomeKind.TIMEOUT
@@ -386,10 +394,10 @@ def run(sc: Scenario) -> GameTrace:
         dt = min(sc.dt, sc.horizon - t)
         h, kind = _event_time(step_cfg, a, d, ctrl_a, ctrl_d, dt, sc.eps_capture,
                               sc.eps_target) or (dt, OutcomeKind.TIMEOUT)
+        dist_ad, dist_at = _dists(cfg, a, d, ctrl_a, ctrl_d, h)
         a = propagate(a, cfg.attacker_params, ctrl_a, h)
         d = propagate(d, cfg.defender_params, ctrl_d, h)
         t += h
-        dist_ad, dist_at = _dists(cfg, a, d)
         record(ctrl_a, ctrl_d)
     return GameTrace(sc, TraceRows(rows), Outcome(kind, t, dist_at, a.pos),
                      tuple(tracker.notes), tuple(tracker.switches))

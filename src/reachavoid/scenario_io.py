@@ -8,6 +8,7 @@ load -> dump -> load cycle reproduces the configuration bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -48,15 +49,15 @@ def _no_extras(mapping: dict, allowed: set[str], path: str) -> None:
 
 
 def _vec(value: Any, path: str) -> Vec2:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SchemaError(f"'{path}' must be a pair of numbers")
-    return Vec2(float(value[0]), float(value[1]))
+    return Vec2(*(_number(v, path) for v in value))
 
 
 def _number(value: Any, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SchemaError(f"'{path}' must be a number")
+    if not isinstance(value, (int, float)) or isinstance(value, bool) \
+            or not math.isfinite(value):
+        raise SchemaError(f"'{path}' must be a finite number")
     return float(value)
 
 
@@ -137,10 +138,9 @@ def loads(text: str) -> ScenarioDocument:
     window = None
     if "window" in render_raw:
         win = render_raw["window"]
-        if (not isinstance(win, (list, tuple)) or len(win) != 4
-                or not all(isinstance(v, (int, float)) for v in win)):
+        if not isinstance(win, (list, tuple)) or len(win) != 4:
             raise SchemaError("'render.window' must be [xmin, xmax, ymin, ymax]")
-        window = tuple(float(v) for v in win)
+        window = tuple(_number(v, "render.window") for v in win)
         if not (window[1] > window[0] and window[3] > window[2]):
             raise SchemaError("'render.window' must have positive extent")
     resolution = (80, 80)

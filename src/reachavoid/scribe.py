@@ -176,20 +176,27 @@ def _sq(x):
     return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
 
 
+def _clock(p, t):
+    """exp(-mu t) and the clock s(t) by np.exp, which rounds a float as it does
+    an array element (math.exp does not); Python floats for a float t."""
+    decay = np.exp(-p.mu * t)
+    decay = decay if isinstance(decay, np.ndarray) else float(decay)
+    return decay, (1.0 - decay) / p.mu
+
+
 def gap(p, t):
     """Squared center distance minus squared tangency radius at time t.
 
     `p` is a ScribeProblem or a ScribeBatch; t a float or an array.
     """
-    s = (1.0 - np.exp(-p.mu * t)) / p.mu
+    _, s = _clock(p, t)
     o = p.dx2 + p.dv2 * s * s + 2.0 * p.dxdv * s
     return o - p.radius_coeff * _sq(t - s)
 
 
 def gap_d1(p, t):
     """First time derivative of the gap."""
-    decay = np.exp(-p.mu * t)
-    s = (1.0 - decay) / p.mu
+    decay, s = _clock(p, t)
     o1 = 2.0 * decay * (p.dv2 * s + p.dxdv)
     p1 = 2.0 * p.radius_coeff * (t - s) * (1.0 - decay)
     return o1 - p1
@@ -197,8 +204,7 @@ def gap_d1(p, t):
 
 def gap_d2(p, t):
     """Second time derivative of the gap."""
-    decay = np.exp(-p.mu * t)
-    s = (1.0 - decay) / p.mu
+    decay, s = _clock(p, t)
     o2 = 2.0 * decay * (p.dv2 * (2.0 * decay - 1.0) - p.mu * p.dxdv)
     p2 = 2.0 * p.radius_coeff * (_sq(1.0 - decay) + p.mu * decay * (t - s))
     return o2 - p2

@@ -25,10 +25,10 @@ import numpy as np
 
 from .dynamics import (Control, InfeasibleTargetError, damped_time, propagate,
                        steer_to)
-from .dominance import (CROSSING_SAMPLES, BoundaryMinimum, GameConfig,
-                        RegionLabel, arrival_alignment, boundary_minima,
-                        matched_index, r3_certificates, race,
-                        safe_straight_run)
+from .dominance import (CROSSING_BAND, CROSSING_SAMPLES, BoundaryMinimum,
+                        GameConfig, RegionLabel, arrival_alignment,
+                        boundary_minima, clearance_at, matched_index,
+                        r3_certificates, race, safe_straight_run)
 from .geometry import Vec2
 from .scribe import find_zero, reach_times
 
@@ -247,33 +247,23 @@ def first_unsafe_crossing(cfg: GameConfig, ctrl: Control,
     """
     if t_end <= 0.0:
         return None
-    # clearance_at on floats, with the run's constants taken out of the
-    # scan: the same math.exp and math.hypot calls and float operations
-    mu = cfg.mu
-    amp = ctrl.u / cfg.attacker_params.mu
-    hx, hy = math.cos(ctrl.theta), math.sin(ctrl.theta)
-    a, d = cfg.attacker, cfg.defender
-    ax, ay, avx, avy = a.pos.x, a.pos.y, a.vel.x, a.vel.y
-    dx, dy, dvx, dvy = d.pos.x, d.pos.y, d.vel.x, d.vel.y
-    rate = cfg.defender_params.u_max / cfg.defender_params.mu
-
-    def clearance(t: float) -> float:
-        s = (1.0 - math.exp(-mu * t)) / mu
-        return math.hypot(ax + avx * s + amp * (t - s) * hx - (dx + dvx * s),
-                          ay + avy * s + amp * (t - s) * hy - (dy + dvy * s)) \
-            - rate * (t - s)
-
     taus = np.linspace(t_end / CROSSING_SAMPLES, t_end, CROSSING_SAMPLES)
-    # sampled one float at a time (math.exp, math.hypot): a planned run ends
-    # on the capture boundary, where the clearance is zero up to rounding;
-    # numpy's exp and hypot round that zero to the other sign on some steps,
-    # which moves closed-loop intercept games by up to 3e-8
-    vals = np.array([clearance(t) for t in taus.tolist()])
+    vals = clearance_at(cfg, ctrl, taus)
+    # a planned run ends on the capture boundary, where the clearance is zero
+    # up to rounding; numpy's exp and hypot, a few ulps of the run's lengths
+    # off math's, round it to the other sign on some steps.  Samples in the
+    # band are evaluated again on floats, so the dips are a float scan's
+    caps = cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap
+    band = CROSSING_BAND * (cfg.attacker.pos.norm() + cfg.defender.pos.norm()
+                            + caps * t_end)
+    taus = taus.tolist()
+    for i in np.flatnonzero(np.abs(vals) <= band).tolist():
+        vals[i] = clearance_at(cfg, ctrl, taus[i])
     dips = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
     if len(dips) == 0:
         return None
     lo, hi = taus[dips[0]], taus[dips[0] + 1]
-    tau = find_zero(clearance, lo, hi, tol=1e-10) or hi
+    tau = find_zero(lambda t: clearance_at(cfg, ctrl, t), lo, hi, tol=1e-10) or hi
     return propagate(cfg.attacker, cfg.attacker_params, ctrl, tau).pos, tau
 
 

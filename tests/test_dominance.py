@@ -10,7 +10,7 @@ from reachavoid import (Control, InfeasibleTargetError, PlayerParams,
                         propagate, r3_certificates, reach_times, region_map,
                         steer_to, tangency_windows)
 from reachavoid.dominance import (RUN_CHUNK, SAFETY_SAMPLES,
-                                  _dip_candidates, _intersection_point,
+                                  _dip_candidates, _l_point,
                                   arrival_alignment,
                                   clearance_at, intersection_points,
                                   matched_index, run_times, straight_runs)
@@ -65,10 +65,11 @@ class TestIntersectionPoint:
                                  rng.uniform(0.0, 1.5 * inn.first, 64)])
             plus, minus, valid = intersection_points(cfg, ts)
             assert 0 < valid.sum() < len(ts)
-            for i, t in enumerate(ts):
-                for side, rows in ((1.0, plus), (-1.0, minus)):
+            for side, rows in ((1.0, plus), (-1.0, minus)):
+                point = _l_point(cfg, side)
+                for i, t in enumerate(ts):
                     for time in (t, float(t)):
-                        x, y, ok = _intersection_point(cfg, time, side)
+                        x, y, ok = point(time)
                         assert (x, y) == (rows[i, 0], rows[i, 1])
                         assert ok == valid[i]
 

@@ -2,14 +2,16 @@ import gc
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from reachavoid import (AttackerPolicy, Control, DefenderPolicy, OutcomeKind,
-                        Scenario, Vec2, r3_certificates, run, strategy_one,
-                        tangency_windows)
+                        Scenario, Vec2, propagate, r3_certificates, run,
+                        strategy_one, tangency_windows)
+from reachavoid.engine import DETECT_SUBSTEPS, _dists
 from reachavoid.scenario_io import TRACE_COLUMNS, trace_to_csv
 
-from conftest import make_cfg
+from conftest import make_cfg, random_player
 
 
 class TestRun:
@@ -80,6 +82,34 @@ class TestNashOrdering:
         assert both.kind is OutcomeKind.CAPTURED
         assert att_dev.payoff > both.payoff + 0.01
         assert both.payoff > def_dev.payoff + 0.01
+
+
+class TestEventMargins:
+    def test_distances_equal_the_propagated_states(self, case1, special1):
+        # the event scan's distances against those of propagate's states (==)
+        rng = np.random.default_rng(71)
+        cfgs = [case1, special1]
+        for _ in range(20):
+            mu, u_d = rng.uniform(0.5, 2.0), rng.uniform(1.2, 3.0)
+            a, d = random_player(rng, mu, 1.0), random_player(rng, mu, u_d)
+            cfgs.append(make_cfg((a.pos.x, a.pos.y), (a.vel.x, a.vel.y),
+                                 (d.pos.x, d.pos.y), (d.vel.x, d.vel.y),
+                                 u_d=u_d, mu=mu,
+                                 target=tuple(rng.uniform(-1.0, 1.0, 2))))
+        for cfg in cfgs:
+            pa, pd = cfg.attacker_params, cfg.defender_params
+            ca = Control(pa.u_max * rng.choice([0.0, rng.random(), 1.0]),
+                         rng.uniform(0.0, 2.0 * math.pi))
+            cd = Control(pd.u_max * rng.choice([0.0, rng.random(), 1.0]),
+                         rng.uniform(0.0, 2.0 * math.pi))
+            dt = float(rng.choice([0.025, 0.05]))
+            # the substep ends of a step and times between them
+            hs = [dt * k / DETECT_SUBSTEPS for k in range(DETECT_SUBSTEPS + 1)]
+            for h in hs + rng.uniform(0.0, dt, 8).tolist():
+                a = propagate(cfg.attacker, pa, ca, h).pos
+                d = propagate(cfg.defender, pd, cd, h).pos
+                assert _dists(cfg, cfg.attacker, cfg.defender, ca, cd, h) \
+                    == ((a - d).norm(), (a - cfg.target).norm())
 
 
 class TestScenarioValidation:

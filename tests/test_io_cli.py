@@ -116,6 +116,32 @@ class TestCliSimulate:
         for name in ("trajectories.svg", "distances.svg", "trace.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("key, value", [
+        ("sim.t_max", -1.0), ("sim.t_max", 0.0), ("sim.t_max", math.nan),
+        ("sim.eps_capture", math.nan), ("sim.plan_switch_margin", -1.0),
+        ("sim.plan_switch_margin", math.nan),
+        ("players.defender.u_max", math.inf),
+        ("players.attacker.pos", [math.inf, 0.0]),
+        ("render.window", [0.0, math.inf, 0.0, 1.0]),
+    ])
+    def test_impossible_sim_rejected(self, tmp_path, capsys, key, value):
+        # json writes the non-finite values as NaN and Infinity
+        raw = json.loads((SCENARIOS / "case1.json").read_text())
+        *parents, leaf = key.split(".")
+        node = raw
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = value
+        with pytest.raises(SchemaError, match=leaf):
+            loads(json.dumps(raw))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(bad), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_schema_violation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_doc(mu=-2.0)))

@@ -8,6 +8,7 @@ from reachavoid import (Branch, Control, PlayerParams, PlayerState, RootSet,
                         boundary_point, cusp_time, find_zero, gap, propagate,
                         reach_times, reach_times_many, scribe_times,
                         scribe_times_batch)
+from reachavoid.scribe import gap_d1, gap_d2
 
 from conftest import random_player
 
@@ -256,6 +257,22 @@ class TestBatch:
         whole = batch_roots(problems)
         assert batch_roots(problems[::-1]) == whole[::-1]
         assert batch_roots(problems[7:8]) == whole[7:8]
+
+    def test_float_gaps_equal_a_one_element_batch(self):
+        # the solver's scalar evaluations, on floats, against the batch's
+        rng = np.random.default_rng(27)
+        for p in oracle_problems(40):
+            one = ScribeBatch.of([p])
+            roots = scribe_times(p).times
+            # the bracket ends t0 and cap, the solved times and their
+            # neighbours, and times in between
+            ts = [1e-13 / p.mu, p.cap, *roots, *np.nextafter(roots, 0.0).tolist(),
+                  *rng.uniform(0.0, 2.0 * max(roots), 8).tolist()]
+            for f in (gap, gap_d1, gap_d2):
+                for t in ts:
+                    value = f(p, t)
+                    assert type(value) is float
+                    assert value == f(one, np.array([t]))[0]
 
     def test_reach_times_many_matches_reach_times(self, params):
         rng = np.random.default_rng(26)

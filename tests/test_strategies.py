@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from reachavoid import (AttackerWinsError, PlayerParams, PlayerState, Vec2,
-                        apollonius_circle, apollonius_plan, best_r3_point,
-                        boundary_minima, can_reach_target, choose_plan,
+import reachavoid.engine
+from golden.record import GAMES
+from reachavoid import (AttackerWinsError, Control, InfeasibleTargetError,
+                        PlayerParams, PlayerState, Vec2, apollonius_circle,
+                        apollonius_plan, best_r3_point, boundary_minima,
+                        can_reach_target, choose_plan, find_zero,
                         hamiltonian_check, plan_for_point, propagate,
-                        pure_pursuit, r3_certificates, reach_times, steer_to,
-                        strategy_one)
+                        pure_pursuit, r3_certificates, reach_times, run,
+                        steer_to, strategy_one)
+from reachavoid.dominance import CROSSING_SAMPLES, clearance_at
+from reachavoid.strategies import first_unsafe_crossing
 
-from conftest import make_cfg
+from conftest import make_cfg, random_player
 
 
 class TestStrategyOne:
@@ -265,3 +270,86 @@ class TestChoosePlan:
             plan = choose_plan(cfg, plan.point)
             drift = max(drift, (plan.point - point0).norm())
         assert drift < 1e-3 * 8
+
+
+def float_scan(cfg, ctrl, t_end):
+    """first_unsafe_crossing with math.exp and math.hypot at every sample."""
+    mu = cfg.mu
+    amp = ctrl.u / mu
+    hx, hy = math.cos(ctrl.theta), math.sin(ctrl.theta)
+    a, d = cfg.attacker, cfg.defender
+    rate = cfg.defender_params.u_max / mu
+
+    def clearance(t):
+        s = (1.0 - math.exp(-mu * t)) / mu
+        return math.hypot(a.pos.x + a.vel.x * s + amp * (t - s) * hx
+                          - (d.pos.x + d.vel.x * s),
+                          a.pos.y + a.vel.y * s + amp * (t - s) * hy
+                          - (d.pos.y + d.vel.y * s)) - rate * (t - s)
+
+    taus = np.linspace(t_end / CROSSING_SAMPLES, t_end, CROSSING_SAMPLES).tolist()
+    vals = [clearance(t) for t in taus]
+    for i in range(len(taus) - 1):
+        if vals[i] > 0.0 >= vals[i + 1]:
+            tau = find_zero(clearance, taus[i], taus[i + 1], tol=1e-10) or taus[i + 1]
+            return propagate(a, cfg.attacker_params, ctrl, tau).pos, tau
+    return None
+
+
+class TestFirstUnsafeCrossing:
+    """The array scan with its guard band against a float scan (==)."""
+
+    def test_intercept_game_scans(self, monkeypatch):
+        # every scan of the special1 intercept game: each runs to the plan's
+        # terminal point, where the clearance is zero up to rounding
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return first_unsafe_crossing(*args)
+
+        monkeypatch.setattr(reachavoid.engine, "first_unsafe_crossing", recorded)
+        run(GAMES["special1_intercept"]())
+        assert len(calls) > 20
+        for cfg, ctrl, t_end in calls:
+            assert first_unsafe_crossing(cfg, ctrl, t_end) == float_scan(cfg, ctrl, t_end)
+
+    def test_seeded_plans_and_runs(self):
+        rng = np.random.default_rng(81)
+        found = 0
+        for _ in range(30):
+            mu, u_d = rng.uniform(0.5, 2.0), rng.uniform(1.2, 3.0)
+            a, d = random_player(rng, mu, 1.0), random_player(rng, mu, u_d)
+            cfg = make_cfg((a.pos.x, a.pos.y), (a.vel.x, a.vel.y),
+                           (d.pos.x, d.pos.y), (d.vel.x, d.vel.y), u_d=u_d, mu=mu)
+            runs = [(Control(rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)),
+                     rng.uniform(0.1, 4.0))]
+            try:
+                plan = strategy_one(cfg)
+            except (AttackerWinsError, InfeasibleTargetError):
+                pass
+            else:
+                runs += [(plan.attacker_ctrl, plan.t_f),
+                         (plan.attacker_ctrl, 2.0 * plan.t_f)]
+            for ctrl, t_end in runs:
+                want = float_scan(cfg, ctrl, t_end)
+                assert first_unsafe_crossing(cfg, ctrl, t_end) == want
+                found += want is not None
+        assert found > 10
+
+    def test_band_gives_the_float_sign_at_the_end(self):
+        # a step of the special1 intercept game whose last sample numpy rounds
+        # to a positive clearance and math to a negative one
+        cfg = make_cfg((-0.3157025406677041, 0.04634958442057005),
+                       (0.22212222467825254, -0.06447135820507724),
+                       (-0.38252559390818275, 0.006154539575533736),
+                       (1.2236382226516973, 0.3417695162000465))
+        ctrl = Control(0.9999999999999992, 6.002739832617997)
+        t_end = 0.6108263440491535
+        taus = np.linspace(t_end / CROSSING_SAMPLES, t_end, CROSSING_SAMPLES)
+        vals = clearance_at(cfg, ctrl, taus)
+        assert vals[-1] > 0.0 >= clearance_at(cfg, ctrl, t_end)
+        assert not ((vals[:-1] > 0.0) & (vals[1:] <= 0.0)).any()
+        want = float_scan(cfg, ctrl, t_end)
+        assert want is not None and want[1] > taus[-2]
+        assert first_unsafe_crossing(cfg, ctrl, t_end) == want
