@@ -137,9 +137,6 @@ class CaptureBoundary:
     t_out: float
     t_in: float
     segments: tuple[BoundarySegment, ...]
-    # filled only on annotate=True sweeps: per segment, arrays of matched
-    # attacker and defender reach-time indices (0 outside the MRR, else 1..3)
-    pair_indices: Optional[tuple[np.ndarray, ...]] = None
 
 
 def intersection_points(cfg: GameConfig, ts: np.ndarray):
@@ -213,21 +210,14 @@ def _active_intervals(cfg: GameConfig) -> tuple[float, float, list[tuple[float, 
     return t_out, t_in, intervals
 
 
-def capture_boundary(cfg: GameConfig, samples: int = SWEEP_SAMPLES,
-                     annotate: bool = False) -> CaptureBoundary:
-    """Sweep the simultaneous-reach boundary L into closed loops.
-
-    With annotate=True each vertex additionally carries the matched reach-time
-    index pair (attacker, defender); this costs two root solves per vertex, so
-    the sweep then uses the coarser ANNOTATE_SAMPLES grid.
-    """
+def capture_boundary(cfg: GameConfig, samples: int = SWEEP_SAMPLES) -> CaptureBoundary:
+    """Sweep the simultaneous-reach boundary L into closed loops."""
     if samples < 2:
         raise ValueError("need at least two sweep samples")
     t_out, t_in, intervals = _active_intervals(cfg)
     total = sum(b - a for a, b in intervals)
     segments = []
-    pair_arrays = []
-    n_samples = ANNOTATE_SAMPLES if annotate else max(samples, 2 * len(intervals))
+    n_samples = max(samples, 2 * len(intervals))
     for a, b in intervals:
         n = max(8, int(round(n_samples * (b - a) / total))) if total > 0 else 8
         ts = np.linspace(a, b, n)
@@ -236,23 +226,20 @@ def capture_boundary(cfg: GameConfig, samples: int = SWEEP_SAMPLES,
         loop_pts = np.vstack([plus[valid], minus[valid][::-1]])
         loop_t = np.concatenate([ts[valid], ts[valid][::-1]])
         loop_side = np.concatenate([np.ones(valid.sum()), -np.ones(valid.sum())])
-        seg = BoundarySegment(t_start=a, t_end=b, points=loop_pts,
-                              params=loop_t, sides=loop_side)
-        segments.append(seg)
-        if annotate:
-            pair_arrays.append(_annotate_segment(cfg, seg))
-    return CaptureBoundary(t_out=t_out, t_in=t_in, segments=tuple(segments),
-                           pair_indices=tuple(pair_arrays) if annotate else None)
+        segments.append(BoundarySegment(t_start=a, t_end=b, points=loop_pts,
+                                        params=loop_t, sides=loop_side))
+    return CaptureBoundary(t_out=t_out, t_in=t_in, segments=tuple(segments))
 
 
-def matched_index(roots: RootSet, t: float, alignment: float) -> int:
+def matched_index(times: list[float], t: float, alignment: float) -> int:
     """Reach-time index (0 outside the MRR, else 1..3) matched by time t.
 
-    Double roots are disambiguated by the sign of the arrival alignment
-    (velocity dotted with heading): positive picks the sweeping-outward slot
-    {1, 3}, negative the middle slot 2.
+    `times` are a point's expanded reach times (a tangent root twice); nan
+    padding is skipped.  Double roots are disambiguated by the sign of the
+    arrival alignment (velocity dotted with heading): positive picks the
+    sweeping-outward slot {1, 3}, negative the middle slot 2.
     """
-    merged = merge_roots(roots)
+    merged = merge_roots((r, 1) for r in times if not math.isnan(r))
     total = sum(m for _, m in merged)
     if total <= 1:
         return 0
@@ -283,12 +270,13 @@ def arrival_alignment(state: PlayerState, params: PlayerParams, point: Vec2,
 
 
 def _annotate_segment(cfg: GameConfig, seg: BoundarySegment) -> np.ndarray:
+    """Matched (attacker, defender) reach-time indices of each vertex of L."""
     pairs = np.zeros((len(seg), 2), dtype=int)
     players = ((cfg.attacker, cfg.attacker_params),
                (cfg.defender, cfg.defender_params))
     for k, (state, params) in enumerate(players):
-        roots = RootSet.rows(*reach_times_many(seg.points, state, params))
-        for i, r in enumerate(roots):
+        rows = reach_times_many(seg.points, state, params).tolist()
+        for i, r in enumerate(rows):
             p = Vec2(float(seg.points[i, 0]), float(seg.points[i, 1]))
             t = float(seg.params[i])
             try:
@@ -416,10 +404,10 @@ def _ring_cut(ring: np.ndarray, i: int, j: int, forward: bool) -> np.ndarray:
     return ring[idx]
 
 
-def _defender_time_split(cfg: GameConfig, boundary: CaptureBoundary):
+def _defender_time_split(segments, pairs_per_segment):
     """Group annotated L vertices into maximal runs matched to t_D2."""
     runs = []
-    for seg, pairs in zip(boundary.segments, boundary.pair_indices):
+    for seg, pairs in zip(segments, pairs_per_segment):
         for side in (1.0, -1.0):
             mask = (seg.sides == side) & (pairs[:, 1] == 2)
             idx = np.flatnonzero(mask)
@@ -457,8 +445,8 @@ def _polygon_probes(poly: np.ndarray) -> list[Vec2]:
 def _cond2_components(cfg: GameConfig) -> list[R3Component]:
     if cfg.defender.vel.norm() == 0.0:
         return []
-    annotated = capture_boundary(cfg, annotate=True)
-    runs = _defender_time_split(cfg, annotated)
+    segments = capture_boundary(cfg, ANNOTATE_SAMPLES).segments
+    runs = _defender_time_split(segments, [_annotate_segment(cfg, s) for s in segments])
     if not runs:
         return []
     dmrr = mrr_boundary(cfg.defender, cfg.defender_params)
@@ -591,31 +579,23 @@ def safe_straight_run(cfg: GameConfig, point: Vec2,
     return None
 
 
-def _padded(roots: RootSet) -> tuple[np.ndarray, np.ndarray]:
-    """One RootSet as a row of the padded (times, mults) of reach_times_many."""
-    times, mults = np.full((1, 3), np.nan), np.zeros((1, 3), dtype=int)
-    times[0, :len(roots)] = roots.times
-    mults[0, :len(roots)] = roots.multiplicities
-    return times, mults
+def _reach_rows(cfg: GameConfig, point: Vec2) -> np.ndarray:
+    """The attacker's and the defender's reach times at `point`: a (2, 3)
+    array of expanded times padded with nan, as reach_times_many gives them."""
+    rows = np.full((2, 3), np.nan)
+    for row, state, params in ((rows[0], cfg.attacker, cfg.attacker_params),
+                               (rows[1], cfg.defender, cfg.defender_params)):
+        times = reach_times(point, state, params).expanded()
+        row[:len(times)] = times
+    return rows
 
 
-def _expanded(times: np.ndarray, mults: np.ndarray) -> tuple[np.ndarray, ...]:
-    """RootSet.expanded of each padded row, as three columns padded with nan.
-
-    A row has at most three times in all, so a double root can only be the
-    first or the second: (2,), (2, 1), (1, 2), or simple roots.
-    """
+def _double(times: np.ndarray) -> np.ndarray:
+    """Rows of expanded times where merge_roots gives a root of multiplicity
+    2 or more: a tangent root, listed twice, or a root merged into its
+    predecessor."""
     t0, t1, t2 = times.T
-    d0, d1 = mults[:, 0] == 2, mults[:, 1] == 2
-    return t0, np.where(d0, t0, t1), np.where(d0 | d1, t1, t2)
-
-
-def _double(times: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    """Rows where merge_roots gives a root of multiplicity 2 or more: a
-    tangent root, or a root merged into its predecessor."""
-    t0, t1, t2 = times.T
-    return ((mults >= 2).any(axis=1) | (t1 - t0 <= CLASSIFY_TOL * (1.0 + t1))
-            | (t2 - t1 <= CLASSIFY_TOL * (1.0 + t2)))
+    return (t1 - t0 <= CLASSIFY_TOL * (1.0 + t1)) | (t2 - t1 <= CLASSIFY_TOL * (1.0 + t2))
 
 
 def _race(ea, ed):
@@ -631,38 +611,35 @@ def race(cfg: GameConfig, point: Vec2) -> list[float]:
     """The attacker's winning reach times at `point`.  An attacker time wins
     before the defender's first arrival or inside the defender's gap
     (t_D2, t_D3), when the defender cannot be there."""
-    ta = reach_times(point, cfg.attacker, cfg.attacker_params)
-    td = reach_times(point, cfg.defender, cfg.defender_params)
-    ea, ed = ((r.expanded() + [math.nan] * 3)[:3] for r in (ta, td))
+    ea, ed = _reach_rows(cfg, point).tolist()
     _, wins = _race(ea, ed)
     return [t for t, w in zip(ea, wins) if w]
 
 
 def classify_point(cfg: GameConfig, point: Vec2) -> RegionLabel:
     """Region label of a single point (see module docstring for the zoo)."""
-    return _labels(cfg, np.array([[point.x, point.y]]),
-                   _padded(reach_times(point, cfg.attacker, cfg.attacker_params)),
-                   _padded(reach_times(point, cfg.defender, cfg.defender_params)))[0]
+    atk, dfd = _reach_rows(cfg, point)
+    return _labels(cfg, np.array([[point.x, point.y]]), atk[None], dfd[None])[0]
 
 
-def _labels(cfg: GameConfig, pts: np.ndarray, atk, dfd) -> list[RegionLabel]:
-    """Region labels of the points `pts` (N, 2), given each player's padded
-    (times, mults) reach times there as reach_times_many returns them.
+def _labels(cfg: GameConfig, pts: np.ndarray, atk: np.ndarray,
+            dfd: np.ndarray) -> list[RegionLabel]:
+    """Region labels of the points `pts` (N, 2), given each player's (N, 3)
+    expanded reach times there as reach_times_many returns them.
 
     Precedence: equal reach times (boundary_L), then a double reach time of
     either player (boundary_mrr), then a winning attacker time (R_I when it
     is t = 0 or a straight run at one is safe, else R_II), then R_III inside
     a certificate, else defender dominated.
     """
-    ea, ed = _expanded(*atk), _expanded(*dfd)
+    ea, ed = atk.T, dfd.T
     tol, wins = _race(ea, ed)
     _, inn = tangency_windows(cfg)
     # equal reach times beyond the first full-containment time are
     # post-game geometry, not part of the capture boundary
-    a, d = np.stack(ea), np.stack(ed)
-    on_l = ((np.abs(a[:, None] - d[None]) <= tol)
-            & (a <= inn.first + tol)[:, None]).any(axis=(0, 1))
-    on_mrr = _double(*atk) | _double(*dfd)
+    on_l = ((np.abs(ea[:, None] - ed[None]) <= tol)
+            & (ea <= inn.first + tol)[:, None]).any(axis=(0, 1))
+    on_mrr = _double(atk) | _double(dfd)
     undecided = ~(on_l | on_mrr)
     won = undecided & (wins[0] | wins[1] | wins[2])
     # an arrival at t = 0 means the attacker already stands on the point

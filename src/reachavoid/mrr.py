@@ -22,13 +22,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .dynamics import (DomainError, PlayerParams, PlayerState, damped_time,
                        isochron_xyr)
 from .geometry import Vec2, wrap_angle
-from .scribe import RootSet, find_zero, reach_times
+from .scribe import find_zero, reach_times
 
 # reach times closer than this (scaled by 1+t) merge into a boundary label
 CLASSIFY_TOL = 1e-8
@@ -197,19 +198,19 @@ def classify(point: Vec2, state: PlayerState, params: PlayerParams) -> ReachClas
     than to SINGLE or TRIPLE.
     """
     roots = reach_times(point, state, params)
-    expanded = merge_roots(roots)
-    times = tuple(t for t, _ in expanded)
-    mults = [m for _, m in expanded]
-    if len(expanded) == 1:
-        if mults[0] >= 2:
+    merged = merge_roots(zip(roots.times, roots.multiplicities))
+    times = tuple(t for t, _ in merged)
+    double = [m >= 2 for _, m in merged]
+    if len(merged) == 1:
+        if double[0]:
             return ReachClassification(ReachKind.CUSP, times)
         return ReachClassification(ReachKind.SINGLE, times)
-    if len(expanded) == 2:
-        if mults[0] >= 2 and mults[1] >= 2:
+    if len(merged) == 2:
+        if double[0] and double[1]:
             return ReachClassification(ReachKind.CUSP, times)
-        if mults[0] >= 2:
+        if double[0]:
             return ReachClassification(ReachKind.BOUNDARY_I, times)
-        if mults[1] >= 2:
+        if double[1]:
             return ReachClassification(ReachKind.BOUNDARY_II, times)
         # two simple roots can only happen at the start point of a moving
         # player (departure plus one swing back): treat as first-arc boundary
@@ -217,10 +218,11 @@ def classify(point: Vec2, state: PlayerState, params: PlayerParams) -> ReachClas
     return ReachClassification(ReachKind.TRIPLE, times)
 
 
-def merge_roots(roots: RootSet) -> list[tuple[float, int]]:
-    """(time, multiplicity) pairs with reach times within CLASSIFY_TOL*(1+t) merged."""
+def merge_roots(pairs: Iterable[tuple[float, int]]) -> list[tuple[float, int]]:
+    """Ascending (time, multiplicity) pairs with reach times within
+    CLASSIFY_TOL*(1+t) merged."""
     merged: list[tuple[float, int]] = []
-    for t, m in zip(roots.times, roots.multiplicities):
+    for t, m in pairs:
         if merged and t - merged[-1][0] <= CLASSIFY_TOL * (1.0 + t):
             last_t, last_m = merged[-1]
             merged[-1] = (0.5 * (last_t + t), last_m + m)

@@ -23,13 +23,19 @@ functions on arrays and keeps every problem's own stopping rules, so each of
 its results equals the scalar `scribe_times` bit for bit, whichever problems
 share the batch.  The gap uses np.exp, which rounds the same on a float and
 on an array (math.exp does not), and squares as C pow() does on both.
+
+Inside the library a set of tangency or reach times has one form: a row of
+at most three ascending times, a tangent root listed twice, padded with nan.
+The batch solvers return these rows and the labeller, the race rule and the
+boundary annotation read them.  `RootSet` is the public scalar form, and
+`RootSet.expanded()` its row without the padding.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -160,14 +166,6 @@ class RootSet:
         for t, m in zip(self.times, self.multiplicities):
             out.extend([t] * m)
         return out
-
-    @classmethod
-    def rows(cls, times: np.ndarray, mults: np.ndarray) -> Iterator["RootSet"]:
-        """The RootSet of each row of the padded (N, 3) batch output."""
-        for t_row, m_row in zip(times, mults):
-            m_row = m_row.tolist()
-            k = m_row.index(0) if 0 in m_row else len(m_row)
-            yield cls(tuple(t_row[:k].tolist()), tuple(m_row[:k]))
 
 
 def _sq(x):
@@ -397,29 +395,25 @@ def _find_zero_many(f, c: ScribeBatch, lo: np.ndarray,
     return np.where(live, 0.5 * (a + b), root)
 
 
-def scribe_times_batch(batch: ScribeBatch) -> tuple[np.ndarray, np.ndarray]:
+def scribe_times_batch(batch: ScribeBatch) -> np.ndarray:
     """scribe_times of every problem of the batch, bit for bit.
 
-    Returns (times, mults): (N, 3) times padded with nan after each problem's
-    roots, and (N, 3) multiplicities padded with 0.  The case split of
-    scribe_times runs as masks; every branch that ends in a bisection joins
-    one of five masked find_zero calls.
+    Returns (N, 3) times: row i is scribe_times(problem i).expanded(), padded
+    with nan.  The case split of scribe_times runs as masks; every branch
+    that ends in a bisection joins one of five masked find_zero calls.
     """
     n = len(batch)
     times = np.full((n, 3), np.nan)
-    mults = np.zeros((n, 3), dtype=int)
     nan = np.full(n, np.nan)
     mu, cap, scale = batch.mu, batch.cap, batch.scale
     t0 = 1e-13 / mu
 
     def put(sel, cols):
-        # rows `sel` get the (time, multiplicity) columns with a time, in order
+        # rows `sel` get the columns with a time, in order
         k = np.zeros(n, dtype=int)
-        for t, m in cols:
+        for t in cols:
             ok = sel & ~np.isnan(t)
-            rows = np.flatnonzero(ok)
-            times[rows, k[ok]] = t[ok]
-            mults[rows, k[ok]] = m
+            times[np.flatnonzero(ok), k[ok]] = t[ok]
             k[ok] += 1
 
     def solve(f, sel, lo, hi=None, start=None):
@@ -448,7 +442,7 @@ def scribe_times_batch(batch: ScribeBatch) -> tuple[np.ndarray, np.ndarray]:
     g_infl[w] = gap(batch.take(w), t_infl[w])
     cusp = w & (np.abs(g1_infl) <= CUSP_SLOPE_EPS * np.maximum(mu * scale, 1e-300)) \
         & (np.abs(g_infl) <= CUSP_GAP_EPS * scale)
-    put(cusp, [(t_infl, 2)])
+    put(cusp, [t_infl, t_infl])
     w &= ~cusp
     one(w & (g1_infl <= 0.0), t0)
     w &= g1_infl > 0.0
@@ -467,7 +461,7 @@ def scribe_times_batch(batch: ScribeBatch) -> tuple[np.ndarray, np.ndarray]:
     eps = TANGENCY_EPS * scale
     lo_flat, hi_flat = w & (np.abs(g_lo) < eps), w & (np.abs(g_hi) < eps)
     both = lo_flat & hi_flat
-    put(both, [(0.5 * (t_lo + t_hi), 2)])
+    put(both, [0.5 * (t_lo + t_hi)] * 2)
     lo_flat &= ~both
     hi_flat &= ~both
     w &= ~(lo_flat | hi_flat)
@@ -480,21 +474,21 @@ def scribe_times_batch(batch: ScribeBatch) -> tuple[np.ndarray, np.ndarray]:
     middle = solve(gap, w, t_lo, t_hi)
     last = solve(gap, (lo_flat & (g_hi > 0.0)) | w, t_hi, start=2.0 * t_hi)
     single = solve(gap, ~np.isnan(one_lo), one_lo, start=1.0 / mu)
-    put(lo_flat, [(t_lo, 2), (last, 1)])
-    put(hi_flat, [(first, 1), (t_hi, 2)])
-    put(falls, [(first, 1)])
-    put(w, [(first, 1), (middle, 1), (last, 1)])
-    put(~np.isnan(one_lo), [(single, 1)])
-    if not (mults[:, 0] > 0).all():
+    put(lo_flat, [t_lo, t_lo, last])
+    put(hi_flat, [first, t_hi, t_hi])
+    put(falls, [first])
+    put(w, [first, middle, last])
+    put(~np.isnan(one_lo), [single])
+    if np.isnan(times[:, 0]).any():
         raise RuntimeError("gap function never changed sign; "
                            "bracket cap too small for this problem")
-    return times, mults
+    return times
 
 
 def reach_times_many(points, state: PlayerState,
-                     params: PlayerParams) -> tuple[np.ndarray, np.ndarray]:
+                     params: PlayerParams) -> np.ndarray:
     """reach_times of every point of an (N, 2) array, bit for bit, as the
-    padded (times, mults) of scribe_times_batch; see RootSet.rows."""
+    (N, 3) nan-padded expanded times of scribe_times_batch."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     dx = pts[:, 0] - state.pos.x
     dy = pts[:, 1] - state.pos.y
@@ -513,10 +507,8 @@ def reach_times_many(points, state: PlayerState,
                         cap=np.array([_bracket_cap(mu, rc, dist[i], vn) for i in far]),
                         scale=np.maximum(1.0, dx2[far]))
     times = np.full((len(pts), 3), np.nan)
-    mults = np.zeros((len(pts), 3), dtype=int)
-    times[far], mults[far] = scribe_times_batch(batch)
+    times[far] = scribe_times_batch(batch)
     for i in np.flatnonzero(home):
-        roots = reach_times(Vec2(pts[i, 0], pts[i, 1]), state, params)
-        times[i, :len(roots)] = roots.times
-        mults[i, :len(roots)] = roots.multiplicities
-    return times, mults
+        roots = reach_times(Vec2(pts[i, 0], pts[i, 1]), state, params).expanded()
+        times[i, :len(roots)] = roots
+    return times

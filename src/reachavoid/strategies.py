@@ -26,9 +26,9 @@ import numpy as np
 from .dynamics import (Control, InfeasibleTargetError, damped_time, propagate,
                        steer_to)
 from .dominance import (CROSSING_BAND, CROSSING_SAMPLES, BoundaryMinimum,
-                        GameConfig, RegionLabel, arrival_alignment,
-                        boundary_minima, clearance_at, matched_index,
-                        r3_certificates, race, safe_straight_run)
+                        GameConfig, arrival_alignment, boundary_minima,
+                        clearance_at, matched_index, r3_certificates, race,
+                        safe_straight_run)
 from .geometry import Vec2
 from .scribe import find_zero, reach_times
 
@@ -49,7 +49,6 @@ class TerminalPlan:
     attacker_ctrl: Control
     defender_ctrl: Control
     h_zero: Optional[bool]
-    region: RegionLabel
     payoff: float
 
 
@@ -121,8 +120,7 @@ def plan_for_point(cfg: GameConfig, point: Vec2, t_f: float,
             h = None
     payoff = (point - cfg.target).norm()
     return TerminalPlan(point=point, t_f=t_f, attacker_ctrl=atk,
-                        defender_ctrl=dfd, h_zero=h,
-                        region=RegionLabel.BOUNDARY_L, payoff=payoff)
+                        defender_ctrl=dfd, h_zero=h, payoff=payoff)
 
 
 def strategy_one(cfg: GameConfig) -> TerminalPlan:
@@ -159,8 +157,8 @@ def hamiltonian_check(cfg: GameConfig, point: Vec2) -> Optional[bool]:
                       cfg.defender_params.speed_cap)
     if abs(s_a) <= 1e-9 * speed_scale or abs(s_d) <= 1e-9 * speed_scale:
         return None
-    j = matched_index(ta, t_a, s_a)
-    k = matched_index(td, t_d, s_d)
+    j = matched_index(ta.expanded(), t_a, s_a)
+    k = matched_index(td.expanded(), t_d, s_d)
     compatible = (j == 2) == (k == 2)
     residual = abs(math.copysign(1.0, s_a) - math.copysign(1.0, s_d))
     return bool(compatible and residual <= H_RESIDUAL_TOL)

@@ -38,6 +38,7 @@ from reachavoid import (AttackerPolicy, Control, DefenderPolicy, GameConfig,
                         Scenario, Vec2, boundary_minima, capture_boundary,
                         classify_point, mrr_boundary, region_map, run,
                         scenario_io)
+from reachavoid.dominance import ANNOTATE_SAMPLES, _annotate_segment
 
 GOLDEN = Path(__file__).resolve().parent
 SCENARIOS = GOLDEN.parents[1] / "scenarios"
@@ -159,12 +160,13 @@ def label_snapshot() -> dict:
         maps[f"seed{seed}"] = _grid_codes(region_map(cfg, window, SEEDED_RESOLUTION)[2])
     case2 = scenario_io.load(SCENARIOS / "case2.json").scenario.cfg
     poly = mrr_boundary(s1.defender, s1.defender_params).polygon()
-    annotated = capture_boundary(s1, annotate=True)
+    segments = capture_boundary(s1, ANNOTATE_SAMPLES).segments
     return {
         "maps": maps,
         "vertices": {"special1": _vertex_codes(s1), "case2": _vertex_codes(case2)},
         "special1_defender_mrr_sha256": hashlib.sha256(poly.tobytes()).hexdigest(),
-        "special1_pair_indices": [p.tolist() for p in annotated.pair_indices],
+        "special1_pair_indices": [_annotate_segment(s1, seg).tolist()
+                                  for seg in segments],
     }
 
 

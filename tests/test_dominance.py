@@ -9,8 +9,8 @@ from reachavoid import (Control, InfeasibleTargetError, PlayerParams,
                         boundary_minima, capture_boundary, classify_point,
                         propagate, r3_certificates, reach_times, region_map,
                         steer_to, tangency_windows)
-from reachavoid.dominance import (RUN_CHUNK, SAFETY_SAMPLES,
-                                  _dip_candidates, _l_point,
+from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, SAFETY_SAMPLES,
+                                  _annotate_segment, _dip_candidates, _l_point,
                                   arrival_alignment,
                                   clearance_at, intersection_points,
                                   matched_index, run_times, straight_runs)
@@ -144,9 +144,8 @@ class TestCaptureBoundary:
 class TestOrderFlip:
     def test_reach_time_order_differs_across_the_boundary(self, case2):
         # matched reach times swap order between the two sides of L
-        cb = capture_boundary(case2, annotate=True)
-        seg = cb.segments[0]
-        pairs = cb.pair_indices[0]
+        seg = capture_boundary(case2, ANNOTATE_SAMPLES).segments[0]
+        pairs = _annotate_segment(case2, seg)
         eps = 1e-4
         checked = 0
         for i in range(2, len(seg) - 2, max(1, len(seg) // 25)):
@@ -178,9 +177,10 @@ class TestOrderFlip:
 
 class TestMatchedIndex:
     def test_indices_along_annotated_boundary(self, special1):
-        cb = capture_boundary(special1, annotate=True)
-        ks = np.concatenate([p[:, 1] for p in cb.pair_indices])
-        js = np.concatenate([p[:, 0] for p in cb.pair_indices])
+        cb = capture_boundary(special1, ANNOTATE_SAMPLES)
+        pairs = [_annotate_segment(special1, seg) for seg in cb.segments]
+        ks = np.concatenate([p[:, 1] for p in pairs])
+        js = np.concatenate([p[:, 0] for p in pairs])
         # the defender's middle-time piece exists in this geometry
         assert (ks == 2).sum() > 50
         assert set(np.unique(js)).issubset({0, 1, 2, 3})
@@ -188,10 +188,10 @@ class TestMatchedIndex:
     def test_alignment_disambiguates_double_roots(self, params):
         st = PlayerState(Vec2(0, 0), Vec2(1, 0))
         x_s = Vec2(0.3068528194400547, 0.0)
-        roots = reach_times(x_s, st, params)
+        times = reach_times(x_s, st, params).expanded()
         t_pair = math.log(2.0)
         s = arrival_alignment(st, params, x_s, t_pair)
-        idx = matched_index(roots, t_pair, s)
+        idx = matched_index(times, t_pair, s)
         assert idx in (2, 3)
 
 

@@ -218,8 +218,21 @@ class TestReachTimes:
             assert min(abs(r - t) for r in roots.expanded()) < 1e-8
 
 
-def batch_roots(problems) -> list[RootSet]:
-    return list(RootSet.rows(*scribe_times_batch(ScribeBatch.of(problems))))
+def batch_roots(problems) -> np.ndarray:
+    return scribe_times_batch(ScribeBatch.of(problems))
+
+
+def expanded_rows(roots: list[RootSet]) -> np.ndarray:
+    """Scalar root sets in the batch form: expanded times padded with nan."""
+    rows = np.full((len(roots), 3), np.nan)
+    for row, r in zip(rows, roots):
+        row[:len(r.expanded())] = r.expanded()
+    return rows
+
+
+def assert_rows_equal(batch: np.ndarray, roots: list[RootSet]):
+    # exact float equality, nan padding included
+    assert np.array_equal(batch, expanded_rows(roots), equal_nan=True)
 
 
 def phantom(point: Vec2, st: PlayerState, params: PlayerParams) -> ScribeProblem:
@@ -228,12 +241,13 @@ def phantom(point: Vec2, st: PlayerState, params: PlayerParams) -> ScribeProblem
 
 
 class TestBatch:
-    """The batch solver equals the scalar one bit for bit (== on floats)."""
+    """The batch solver equals the scalar one bit for bit (== on floats,
+    nan padding == nan padding)."""
 
     def test_oracle_problems_in_both_modes(self):
         problems = [ScribeProblem(p.delta_x, p.delta_v, p.mu, p.u_a, p.u_d, mode)
                     for p in oracle_problems() for mode in ScribeMode]
-        assert batch_roots(problems) == [scribe_times(p) for p in problems]
+        assert_rows_equal(batch_roots(problems), [scribe_times(p) for p in problems])
 
     def test_tangent_and_cusp_problems(self, params, special1, overtake):
         mover = PlayerState(Vec2(0, 0), Vec2(1, 0))
@@ -250,13 +264,13 @@ class TestBatch:
         ref = [scribe_times(p) for p in problems]
         kinds = {r.multiplicities for r in ref}
         assert {(1, 2), (2, 1), (2,), (1, 1, 1)} <= kinds
-        assert batch_roots(problems) == ref
+        assert_rows_equal(batch_roots(problems), ref)
 
     def test_result_does_not_depend_on_the_batch(self):
         problems = oracle_problems(60)
         whole = batch_roots(problems)
-        assert batch_roots(problems[::-1]) == whole[::-1]
-        assert batch_roots(problems[7:8]) == whole[7:8]
+        assert np.array_equal(batch_roots(problems[::-1]), whole[::-1], equal_nan=True)
+        assert np.array_equal(batch_roots(problems[7:8]), whole[7:8], equal_nan=True)
 
     def test_float_gaps_equal_a_one_element_batch(self):
         # the solver's scalar evaluations, on floats, against the batch's
@@ -280,11 +294,11 @@ class TestBatch:
                    random_player(rng, 1.0, 1.0, min_speed=0.3)):
             pts = rng.uniform(-2.5, 2.5, (300, 2))
             pts[17] = (st.pos.x, st.pos.y)        # the t = 0 branch
-            times, mults = reach_times_many(pts, st, params)
-            assert times.shape == mults.shape == (300, 3)
+            times = reach_times_many(pts, st, params)
+            assert times.shape == (300, 3)
             ref = [reach_times(Vec2(*p), st, params) for p in pts]
             assert ref[17].times[0] == 0.0
-            assert list(RootSet.rows(times, mults)) == ref
+            assert_rows_equal(times, ref)
 
 
 class TestRootSetValidation:
