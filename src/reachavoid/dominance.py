@@ -42,8 +42,8 @@ from .dynamics import (Control, DomainError, InfeasibleTargetError,
                        path_xy, steer_to)
 from .geometry import Vec2, point_in_polygon, polygon_area
 from .mrr import CLASSIFY_TOL, merge_roots, mrr_boundary
-from .scribe import (RootSet, ScribeMode, ScribeProblem, reach_times,
-                     reach_times_many, scribe_times)
+from .scribe import (RootSet, ScribeMode, ScribeProblem, find_zero,
+                     reach_times, reach_times_many, scribe_times)
 
 # default number of sweep samples along the full tangency window
 SWEEP_SAMPLES = 2048
@@ -164,19 +164,26 @@ def intersection_points(cfg: GameConfig, ts: np.ndarray):
 def _l_point(cfg: GameConfig, side: float):
     """A row of `intersection_points` as a function of a float time t, with
     the players' floats bound once: the plus (side >= 0) or minus point's x
-    and y, and whether the isochrones intersect.  The same operations on
-    floats, so the same bits: np.exp and np.hypot round a float exactly as
-    they round an array element, and the clip is a max."""
+    and y, whether the isochrones intersect, and a number with the sign of
+    the payoff's slope along L.  The same operations on floats, so the same
+    bits: np.exp and np.hypot round a float exactly as they round an array
+    element, and the clip is a max.  The slope's sign is that of (q - T).q':
+    each player's |q - c| = r gives n.q' = r r' + n.c' (n = q - c,
+    c' = v e^(-mu t), r' = rate (1 - e^(-mu t))), and the determinant of the
+    rows n_A, n_D is the signed offset h times the centres' distance, so
+    side * (q - T).adj(n_A, n_D) b has it, with no pole where h = 0."""
     atk, dfd = cfg.attacker, cfg.defender
     ax0, ay0, avx, avy = atk.pos.x, atk.pos.y, atk.vel.x, atk.vel.y
     dx0, dy0, dvx, dvy = dfd.pos.x, dfd.pos.y, dfd.vel.x, dfd.vel.y
     rate_a, rate_d = cfg.attacker_params.speed_cap, cfg.defender_params.speed_cap
-    mu, sign = cfg.mu, 1.0 if side >= 0 else -1.0
+    mu, sign, tx, ty = cfg.mu, 1.0 if side >= 0 else -1.0, cfg.target.x, cfg.target.y
 
-    def point(t: float) -> tuple[float, float, bool]:
-        s = (1.0 - float(np.exp(-mu * t))) / mu
+    def point(t: float) -> tuple[float, float, bool, float]:
+        e = float(np.exp(-mu * t))
+        s = (1.0 - e) / mu
         ax, ay, ra = ax0 + avx * s, ay0 + avy * s, rate_a * (t - s)
-        ux, uy, rd = dx0 + dvx * s - ax, dy0 + dvy * s - ay, rate_d * (t - s)
+        cx, cy, rd = dx0 + dvx * s, dy0 + dvy * s, rate_d * (t - s)
+        ux, uy = cx - ax, cy - ay
         d = float(np.hypot(ux, uy))
         valid = d > 0.0 and d <= ra + rd and d >= abs(ra - rd)
         dd = d if d > 0.0 else 1.0
@@ -184,8 +191,12 @@ def _l_point(cfg: GameConfig, side: float):
         # the minus point's offset is the exact negation of the plus point's
         h = sign * math.sqrt(max(ra * ra - a * a, 0.0))
         ux, uy = ux / dd, uy / dd
-        mx, my = ax + a * ux, ay + a * uy
-        return mx - h * uy, my + h * ux, valid
+        x, y = ax + a * ux - h * uy, ay + a * uy + h * ux
+        nax, nay, ndx, ndy = x - ax, y - ay, x - cx, y - cy
+        ba = ra * rate_a * (1.0 - e) + (nax * avx + nay * avy) * e
+        bd = rd * rate_d * (1.0 - e) + (ndx * dvx + ndy * dvy) * e
+        return x, y, valid, sign * ((x - tx) * (ndy * ba - nay * bd)
+                                    + (y - ty) * (nax * bd - ndx * ba))
     return point
 
 
@@ -298,23 +309,6 @@ class BoundaryMinimum:
     point: Vec2
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _dip_candidates(dist: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Indices of the valid samples that are no farther than either
     neighbour (inf beyond the ends), and of valid end samples, ascending."""
@@ -328,9 +322,13 @@ def _dip_candidates(dist: np.ndarray, valid: np.ndarray) -> np.ndarray:
 def boundary_minima(cfg: GameConfig, samples: int = 512) -> list[BoundaryMinimum]:
     """All refined local minima of distance-to-target along L, best first.
 
+    Each sampled dip is refined to a root of the distance's slope along L
+    (`find_zero`, to ROOT_TOL) between its neighbouring samples; where the
+    slope does not rise through zero there, the nearer of the two is
+    taken.  The tangency times that end each interval are candidates too.
     Ties within 1e-9 in payoff order by smaller sweep time, then by smaller
-    polar angle of the point, which keeps the selection deterministic when the
-    boundary has symmetric or near-tied dips.
+    polar angle of the point, which keeps the selection deterministic when
+    the boundary has symmetric or near-tied dips.
     """
     tx, ty = cfg.target.x, cfg.target.y
     _, _, intervals = _active_intervals(cfg)
@@ -344,15 +342,17 @@ def boundary_minima(cfg: GameConfig, samples: int = 512) -> list[BoundaryMinimum
             dist = np.where(valid, dist, np.inf)
             point = _l_point(cfg, side)
 
-            def f(t: float) -> float:
-                x, y, _ = point(t)
-                return math.hypot(x - tx, y - ty)
+            def dip(t: float) -> BoundaryMinimum:
+                x, y, _, _ = point(t)
+                return BoundaryMinimum(math.hypot(x - tx, y - ty), t, side, Vec2(x, y))
 
+            found += [dip(a), dip(b)]
             for i in _dip_candidates(dist, valid):
-                t_star = _golden_min(f, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)])
-                x, y, _ = point(t_star)
-                found.append(BoundaryMinimum(payoff=math.hypot(x - tx, y - ty),
-                                             t=t_star, side=side, point=Vec2(x, y)))
+                lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+                rises = point(lo)[3] < 0.0
+                t_star = find_zero(lambda t: point(t)[3], lo, hi) if rises else None
+                found.append(dip(t_star) if t_star is not None else
+                             min(dip(lo), dip(hi), key=lambda m: m.payoff))
     found.sort(key=lambda m: (round(m.payoff / 1e-9), m.t, m.point.angle()))
     deduped: list[BoundaryMinimum] = []
     for m in found:

@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from reachavoid import (Control, InfeasibleTargetError, PlayerParams,
                         propagate, r3_certificates, reach_times, region_map,
                         steer_to, tangency_windows)
 from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, SAFETY_SAMPLES,
-                                  _annotate_segment, _dip_candidates, _l_point,
+                                  _active_intervals, _annotate_segment,
+                                  _dip_candidates, _l_point,
                                   arrival_alignment,
                                   clearance_at, intersection_points,
                                   matched_index, run_times, straight_runs)
@@ -69,10 +71,31 @@ class TestIntersectionPoint:
                 point = _l_point(cfg, side)
                 for i, t in enumerate(ts):
                     for time in (t, float(t)):
-                        x, y, ok = point(time)
+                        x, y, ok, _ = point(time)
                         assert (x, y) == (rows[i, 0], rows[i, 1])
                         assert ok == valid[i]
 
+
+    def test_slope_has_the_sign_of_the_payoffs_derivative(self, case1, special1,
+                                                          overtake):
+        rng = np.random.default_rng(63)
+        checked = 0
+        for cfg in (case1, special1, overtake):
+            _, _, intervals = _active_intervals(cfg)
+            for a, b in intervals:
+                for side in (1.0, -1.0):
+                    point = _l_point(cfg, side)
+
+                    def payoff(t):
+                        x, y, _, _ = point(t)
+                        return math.hypot(x - cfg.target.x, y - cfg.target.y)
+                    for t in rng.uniform(a, b, 40).tolist():
+                        # a central difference, where it is far above rounding
+                        diff = payoff(t + 1e-7) - payoff(t - 1e-7)
+                        if abs(diff) > 1e-11:
+                            assert math.copysign(1.0, point(t)[3]) == math.copysign(1.0, diff)
+                            checked += 1
+        assert checked > 200
 
     def test_dip_candidates_equal_the_sample_loop(self):
         def loop(dist, valid):
@@ -407,7 +430,78 @@ class TestGoldenLabels:
 
 
 def test_boundary_minima_match_golden():
-    """Recorded with the one-element array sweep that the scalar L point
-    replaced (tests/golden/record.py), compared exactly."""
+    """Recorded by tests/golden/record.py, compared exactly."""
     golden = json.loads((record.GOLDEN / "minima.json").read_text())
     assert record.minima_snapshot() == golden
+
+
+# digits of the dip oracle, its window around each reported dip, and the
+# dips it checks on the configurations of minima.json
+ORACLE_DIGITS = 40
+ORACLE_WINDOW = Decimal("1e-4")
+ORACLE_DIPS = 26
+
+
+def _oracle_l_point(cfg, side: float, t: Decimal) -> tuple[Decimal, Decimal]:
+    """Distance to the target of the L point at time t, and the squared
+    offset h^2 of the intersection pair (positive where the isochrones
+    cross), in Decimal from the raw positions, velocities, u_max and mu."""
+    mu = Decimal(cfg.mu)
+    e = (-mu * t).exp()
+    s = (1 - e) / mu
+    (ax, ay, ra), (dx, dy, rd) = [
+        (Decimal(st.pos.x) + Decimal(st.vel.x) * s,
+         Decimal(st.pos.y) + Decimal(st.vel.y) * s,
+         Decimal(par.u_max) / mu * (t - s))
+        for st, par in ((cfg.attacker, cfg.attacker_params),
+                        (cfg.defender, cfg.defender_params))]
+    ux, uy = dx - ax, dy - ay
+    d = (ux * ux + uy * uy).sqrt()
+    a = (d * d + ra * ra - rd * rd) / (2 * d)
+    h2 = ra * ra - a * a
+    h = Decimal(side) * max(h2, Decimal(0)).sqrt()
+    x, y = ax + (a * ux - h * uy) / d, ay + (a * uy + h * ux) / d
+    tx, ty = Decimal(cfg.target.x), Decimal(cfg.target.y)
+    return ((x - tx) ** 2 + (y - ty) ** 2).sqrt(), h2
+
+
+def _oracle_dip(f, lo: Decimal, hi: Decimal) -> Decimal:
+    """Golden-section minimum of f on [lo, hi], to 1e-30."""
+    inv = (Decimal(5).sqrt() - 1) / 2
+    c, d = hi - inv * (hi - lo), lo + inv * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > Decimal("1e-30"):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv * (hi - lo)
+            fd = f(d)
+    return (lo + hi) / 2
+
+
+def test_boundary_minima_match_a_40_digit_oracle():
+    """Each reported dip whose +-1e-4 window lies on L (h^2 > 0 at both ends)
+    and holds a minimum of the payoff inside it (the window's ends are
+    farther than the dip) is the oracle's minimum there: within 1e-9 in time
+    and 1e-12 in payoff.  The other candidates are tangency ends and sample
+    cells where the payoff does not turn."""
+    checked = 0
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS
+        for name, cfg in record.minima_configs().items():
+            for m in boundary_minima(cfg):
+                def f(t):
+                    return _oracle_l_point(cfg, m.side, t)[0]
+                t = Decimal(m.t)
+                ends = [_oracle_l_point(cfg, m.side, t + k * ORACLE_WINDOW)
+                        for k in (-1, 1)]
+                if not all(h2 > 0 and dist > f(t) for dist, h2 in ends):
+                    continue
+                t_star = _oracle_dip(f, t - ORACLE_WINDOW, t + ORACLE_WINDOW)
+                assert abs(float(t_star) - m.t) <= 1e-9, name
+                assert abs(float(f(t_star)) - m.payoff) <= 1e-12, name
+                checked += 1
+    assert checked == ORACLE_DIPS

@@ -12,6 +12,7 @@ from reachavoid.engine import DETECT_SUBSTEPS, _dists
 from reachavoid.scenario_io import TRACE_COLUMNS, trace_to_csv
 
 from conftest import make_cfg, random_player
+from golden import record
 
 
 class TestRun:
@@ -82,6 +83,20 @@ class TestNashOrdering:
         assert both.kind is OutcomeKind.CAPTURED
         assert att_dev.payoff > both.payoff + 0.01
         assert both.payoff > def_dev.payoff + 0.01
+
+
+class TestStationarity:
+    """The paper's closed-loop stationarity: replanning from later states
+    returns the same terminal point, so the headings barely change."""
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    def test_median_heading_change(self, name):
+        rows = run(record.GAMES[name]()).rows.array
+        for column in ("thetaA", "thetaD"):
+            step = np.diff(rows[:, TRACE_COLUMNS.index(column)])
+            # the change wrapped into [-pi, pi]
+            step = np.angle(np.exp(1j * step))
+            assert np.median(np.abs(step)) <= 1e-9, column
 
 
 class TestEventMargins:
