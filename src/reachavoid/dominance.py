@@ -325,7 +325,8 @@ def boundary_minima(cfg: GameConfig, samples: int = 512) -> list[BoundaryMinimum
     Each sampled dip is refined to a root of the distance's slope along L
     (`find_zero`, to ROOT_TOL) between its neighbouring samples; where the
     slope does not rise through zero there, the nearer of the two is
-    taken.  The tangency times that end each interval are candidates too.
+    taken, except for an interval's end sample, which then adds nothing.
+    The tangency times that end each interval are candidates too.
     Ties within 1e-9 in payoff order by smaller sweep time, then by smaller
     polar angle of the point, which keeps the selection deterministic when
     the boundary has symmetric or near-tied dips.
@@ -351,8 +352,10 @@ def boundary_minima(cfg: GameConfig, samples: int = 512) -> list[BoundaryMinimum
                 lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
                 rises = point(lo)[3] < 0.0
                 t_star = find_zero(lambda t: point(t)[3], lo, hi) if rises else None
-                found.append(dip(t_star) if t_star is not None else
-                             min(dip(lo), dip(hi), key=lambda m: m.payoff))
+                if t_star is not None:
+                    found.append(dip(t_star))
+                elif 0 < i < len(ts) - 1:
+                    found.append(min(dip(lo), dip(hi), key=lambda m: m.payoff))
     found.sort(key=lambda m: (round(m.payoff / 1e-9), m.t, m.point.angle()))
     deduped: list[BoundaryMinimum] = []
     for m in found:

@@ -12,12 +12,16 @@ three positive zeros.  The solver splits the axis by the signs of
 |dv|^2 + mu*dx.dv and dx.dv into a monotone case, a rise-then-fall case, and a
 wiggle case; in the wiggle case the unique zero of gap'' brackets the two
 extrema of gap', which in turn bracket up to three zeros of gap.  Each bracket
-holds at most one sign change, so plain bisection is reliable everywhere.
+holds at most one sign change, and `find_zero`, the one root solver of the
+library, keeps a sign change in its bracket: Chandrupatla's method, an
+inverse-quadratic step where it is safe and a bisection otherwise, each step
+at least tol/2 inside the bracket, stopping at a bracket of width <= tol or
+of two adjacent floats.
 
 Reach times of a static point reduce to the same solver by treating the point
 as a zero-thrust player parked there.
 
-`scribe_times_batch` runs the same case split and bisection on a whole batch
+`scribe_times_batch` runs the same case split and root steps on a whole batch
 of problems as masked numpy, for region-map grids.  It evaluates the same gap
 functions on arrays and keeps every problem's own stopping rules, so each of
 its results equals the scalar `scribe_times` bit for bit, whichever problems
@@ -211,45 +215,61 @@ def gap_d2(p, t):
 def find_zero(f: Callable[[float], float], lo: float,
               hi: Optional[float] = None, tol: float = ROOT_TOL,
               expand_start: float = 1.0, expand_cap: float = 1e6) -> Optional[float]:
-    """Bisection zero of f on [lo, hi], or on [lo, inf) via bracket expansion.
+    """Zero of f on [lo, hi], or on [lo, inf) via bracket expansion.
 
     Assumes at most one sign change on the interval.  With hi=None the upper
     end starts at max(expand_start, 2*lo) and doubles until the sign flips or
     `expand_cap` is exceeded.  Returns None when no sign change is found.
+    Chandrupatla's method (Adv. Eng. Software 28 (1997) 145) then shrinks
+    the bracket [a, b]: an inverse-quadratic step through a, b and the end
+    dropped last where those points make it safe, a bisection otherwise,
+    each at least tol/2 inside either end.  It returns the midpoint once
+    b - a <= tol or a and b are adjacent floats, and an exact zero (at lo,
+    hi or a step) at once.
     """
     flo = f(lo)
-    if flo == 0.0:
-        return lo
-    if hi is None:
+    expand = hi is None
+    if expand:
         hi = max(expand_start, 2.0 * lo)
-        while True:
-            fhi = f(hi)
-            if flo * fhi <= 0.0:
-                break
-            if hi >= expand_cap:
-                return None
-            hi = min(2.0 * hi, expand_cap * 1.0000001)
-    else:
+    fhi = f(hi)
+    while expand and not flo * fhi <= 0.0 and hi < expand_cap:
+        hi = min(2.0 * hi, expand_cap * 1.0000001)
         fhi = f(hi)
-        if flo * fhi > 0.0:
-            return None
-    a, b, fa = lo, hi, flo
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
+    if not flo * fhi <= 0.0:
+        return None
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    # a is the newest end, b the other end, c the end dropped last; t is the
+    # next step as a fraction of b - a
+    a, fa, b, fb, t = lo, flo, hi, fhi, 0.5
+    while abs(b - a) > tol:
+        x = a + t * (b - a)
+        if not (x - a) * (b - x) > 0.0:     # rounded onto an end: bisect
+            x = 0.5 * (a + b)
+            if not (x - a) * (b - x) > 0.0:
+                break                       # a and b are adjacent floats
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) != (fa < 0.0):
+            a, fa, b, fb = b, fb, a, fa
+        c, fc, a, fa = a, fa, x, fx
+        # fc has fa's sign and fb the other, so only fc - fa can be 0; then
+        # phi is 1 and the step bisects
+        xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+        t = 0.5
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = fa / (fb - fa) * fc / (fb - fc) \
+                + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        tl = 0.5 * tol / abs(b - a)
+        t = min(max(t, tl), 1.0 - tl)
     return 0.5 * (a + b)
 
 
 def scribe_times(p: ScribeProblem) -> RootSet:
     """All positive tangency times of the two isochron families.
 
-    Guaranteed to return between one and three times, each bisected to
+    Guaranteed to return between one and three times, each solved to
     ROOT_TOL.  Exact tangencies of the gap at an interior extremum are
     reported once with multiplicity 2.
     """
@@ -352,46 +372,53 @@ def reach_times(point: Vec2, state: PlayerState,
 
 
 
-def _find_zero_many(f, c: ScribeBatch, lo: np.ndarray,
+def _find_zero_many(f, p: ScribeBatch, lo: np.ndarray,
                     hi: Optional[np.ndarray] = None,
                     expand_start: Optional[np.ndarray] = None,
                     expand_cap: Optional[np.ndarray] = None) -> np.ndarray:
-    """find_zero(lambda t: f(c[i], t), ...) for every problem i of batch c.
+    """find_zero(lambda t: f(p[i], t), ...) for every problem i of batch p.
 
     Each element follows the scalar steps and stopping rules on its own, so
     its result is the scalar one; nan where find_zero returns None.
     """
-    flo = f(c, lo)
-    root = np.where(flo == 0.0, lo, np.nan)
-    live = flo != 0.0
+    flo = f(p, lo)
     if hi is None:
         hi = np.maximum(expand_start, 2.0 * lo)
-        fhi = f(c, hi)
-        grow = live & ~(flo * fhi <= 0.0)
+        fhi = f(p, hi)
+        grow = ~(flo * fhi <= 0.0) & (hi < expand_cap)
         while grow.any():
-            stuck = grow & (hi >= expand_cap)
-            live &= ~stuck
-            grow &= ~stuck
             hi = np.where(grow, np.minimum(2.0 * hi, expand_cap * 1.0000001), hi)
-            fhi = np.where(grow, f(c, hi), fhi)
-            grow &= ~(flo * fhi <= 0.0)
+            fhi = np.where(grow, f(p, hi), fhi)
+            grow &= ~(flo * fhi <= 0.0) & (hi < expand_cap)
     else:
-        live &= ~(flo * f(c, hi) > 0.0)
-    a, b, fa = lo, hi, flo
-    todo = live & (b - a > ROOT_TOL)
+        fhi = f(p, hi)
+    root = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
+    live = (flo * fhi <= 0.0) & np.isnan(root)
+    a, fa, b, fb, t = lo, flo, hi, fhi, np.full(len(lo), 0.5)
+    todo = live & (np.abs(b - a) > ROOT_TOL)
     while todo.any():
-        m = 0.5 * (a + b)
-        fm = f(c, m)
-        hit = todo & (fm == 0.0)
-        root = np.where(hit, m, root)
+        x = a + t * (b - a)
+        x = np.where((x - a) * (b - x) > 0.0, x, 0.5 * (a + b))
+        todo &= (x - a) * (b - x) > 0.0     # else a and b are adjacent floats
+        fx = f(p, x)
+        hit = todo & (fx == 0.0)
+        root = np.where(hit, x, root)
         live &= ~hit
         todo &= ~hit
-        left = todo & (fa * fm < 0.0)
-        right = todo & ~left
-        b = np.where(left, m, b)
-        a = np.where(right, m, a)
-        fa = np.where(right, fm, fa)
-        todo = live & (b - a > ROOT_TOL)
+        flip = todo & ((fx < 0.0) != (fa < 0.0))
+        a, fa, b, fb = (np.where(flip, b, a), np.where(flip, fb, fa),
+                        np.where(flip, a, b), np.where(flip, fa, fb))
+        c, fc, a, fa = a, fa, np.where(todo, x, a), np.where(todo, fx, fa)
+        todo &= np.abs(b - a) > ROOT_TOL
+        # np.where drops the elements that divide by zero: unsafe or done
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            iqi = fa / (fb - fa) * fc / (fb - fc) \
+                + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+            tl = 0.5 * ROOT_TOL / np.abs(b - a)
+        safe = todo & (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+        t = np.where(todo, np.minimum(np.maximum(np.where(safe, iqi, 0.5), tl),
+                                      1.0 - tl), 0.5)
     return np.where(live, 0.5 * (a + b), root)
 
 
@@ -400,7 +427,7 @@ def scribe_times_batch(batch: ScribeBatch) -> np.ndarray:
 
     Returns (N, 3) times: row i is scribe_times(problem i).expanded(), padded
     with nan.  The case split of scribe_times runs as masks; every branch
-    that ends in a bisection joins one of five masked find_zero calls.
+    that ends in a root solve joins one of five masked find_zero calls.
     """
     n = len(batch)
     times = np.full((n, 3), np.nan)

@@ -241,7 +241,7 @@ def first_unsafe_crossing(cfg: GameConfig, ctrl: Control,
 
     Scans the clearance (attacker path distance to the defender's disc at
     matching times) and returns the first sign change from safe to
-    interceptable, refined by bisection; None when the run never dips.
+    interceptable, refined by find_zero; None when the run never dips.
     """
     if t_end <= 0.0:
         return None

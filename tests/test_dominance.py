@@ -505,3 +505,27 @@ def test_boundary_minima_match_a_40_digit_oracle():
                 assert abs(float(f(t_star)) - m.payoff) <= 1e-12, name
                 checked += 1
     assert checked == ORACLE_DIPS
+
+
+def test_boundary_minima_are_tangency_ends_or_local_minima():
+    """Every candidate that is not the tangency time ending its interval is
+    a local minimum of the payoff at 40 digits: on its +-1e-4 window, cut to
+    the interval, both ends are farther than the candidate.  An end sample
+    whose cell has no rising slope adds no candidate of its own."""
+    checked = 0
+    with localcontext() as ctx:
+        ctx.prec = ORACLE_DIGITS
+        for name, cfg in record.minima_configs().items():
+            intervals = _active_intervals(cfg)[2]
+            for m in boundary_minima(cfg):
+                a, b = next((a, b) for a, b in intervals if a <= m.t <= b)
+                if m.t in (a, b):
+                    continue
+                t = Decimal(m.t)
+                ends = (max(t - ORACLE_WINDOW, Decimal(a)),
+                        min(t + ORACLE_WINDOW, Decimal(b)))
+                payoff = _oracle_l_point(cfg, m.side, t)[0]
+                for end in ends:
+                    assert _oracle_l_point(cfg, m.side, end)[0] > payoff, (name, m.t)
+                checked += 1
+    assert checked == ORACLE_DIPS

@@ -251,6 +251,26 @@ class TestCliMrr:
         assert "at rest" in capsys.readouterr().out
 
 
+class TestLowDamping:
+    """With mu = 0.005 the defender's cusp time is 66.3, where the float
+    spacing (1.4e-14) exceeds cusp_time's tolerance of 1e-14; the root solve
+    ends on two adjacent floats."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("regions", ["--resolution", "16x16"]),
+        ("mrr", ["--player", "defender"]),
+    ])
+    def test_command_finishes(self, tmp_path, capsys, command, extra):
+        doc = minimal_doc(mu=0.005)
+        doc["players"] = {
+            "attacker": {"pos": [1.0, -0.1], "vel": [0.0, 0.0], "u_max": 1.0},
+            "defender": {"pos": [1.2, 0.1], "vel": [-200.0, 0.0], "u_max": 2.0},
+        }
+        path = tmp_path / "low_damping.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--out", str(tmp_path), *extra]) == 0
+
+
 class TestSilence:
     """Callers read the library's output streams: `run` prints nothing, and
     neither a game nor a region map writes to stderr or warns."""

@@ -1,16 +1,23 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracle
 from reachavoid import (Branch, Control, PlayerParams, PlayerState, RootSet,
                         ScribeBatch, ScribeMode, ScribeProblem, Vec2,
                         boundary_point, cusp_time, find_zero, gap, propagate,
-                        reach_times, reach_times_many, scribe_times,
+                        reach_times, reach_times_many, run, scribe_times,
                         scribe_times_batch)
-from reachavoid.scribe import gap_d1, gap_d2
+from reachavoid import scribe
+from reachavoid.scenario_io import load
+from reachavoid.scribe import ROOT_TOL, gap_d1, gap_d2
 
 from conftest import random_player
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def colinear_problem(mode):
@@ -45,25 +52,31 @@ def brute_roots(problem: ScribeProblem, dt: float = 1e-4) -> list[float]:
     return roots
 
 
-def oracle_problems(count: int = 120) -> list[ScribeProblem]:
-    """Seeded random problems, alternating inscribe and circumscribe."""
-    rng = np.random.default_rng(23)
-    problems = []
-    while len(problems) < count:
+def random_pairs(seed: int, count: int, min_separation: float) -> list[tuple]:
+    """Seeded (dx, dv, mu, u_a, u_d) of two players below their speed caps,
+    drawn as tests/test_acceptance.py draws criterion 5's problems."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
         mu = rng.uniform(0.2, 3.0)
         u_a = rng.uniform(0.2, 1.5)
         u_d = u_a * rng.uniform(1.2, 2.5)
         dx = Vec2(*rng.uniform(-2, 2, 2))
-        if dx.norm() < 1e-3:
+        if dx.norm() < min_separation:
             continue
         sa = rng.uniform(0, 0.95) * u_a / mu
         sd = rng.uniform(0, 0.95) * u_d / mu
         aa, ad = rng.uniform(0, 2 * math.pi, 2)
         dv = Vec2(sa * math.cos(aa) - sd * math.cos(ad),
                   sa * math.sin(aa) - sd * math.sin(ad))
-        mode = ScribeMode.CIRCUMSCRIBE if len(problems) % 2 else ScribeMode.INSCRIBE
-        problems.append(ScribeProblem(dx, dv, mu, u_a, u_d, mode))
-    return problems
+        pairs.append((dx, dv, mu, u_a, u_d))
+    return pairs
+
+
+def oracle_problems(count: int = 120) -> list[ScribeProblem]:
+    """Seeded random problems, alternating inscribe and circumscribe."""
+    return [ScribeProblem(*pair, ScribeMode.CIRCUMSCRIBE if i % 2 else ScribeMode.INSCRIBE)
+            for i, pair in enumerate(random_pairs(23, count, 1e-3))]
 
 
 class TestGap:
@@ -103,6 +116,32 @@ class TestFindZero:
     def test_no_sign_change_returns_none(self):
         assert find_zero(lambda t: 1.0 + t * t, 0.0, None,
                          expand_cap=100.0) is None
+
+    def test_tolerance_below_the_float_spacing_ends_on_adjacent_floats(self):
+        # the root near 99.4 has a float spacing of 1.4e-14 > tol
+        f = lambda t: math.exp(t / 50.0) - 7.3
+        root = find_zero(f, 0.0, 200.0, tol=1e-14)
+        neighbours = (math.nextafter(root, -math.inf), math.nextafter(root, math.inf))
+        assert any(f(root) * f(t) <= 0.0 for t in neighbours)
+
+    def test_superlinear_on_acceptance_problems(self, monkeypatch):
+        """Criterion 5's 1,000 solves take at most 12 evaluations per
+        find_zero call on average; bisection took about 39."""
+        calls = []
+
+        def counted(f, *args, **kwargs):
+            calls.append(0)
+
+            def g(t):
+                calls[-1] += 1
+                return f(t)
+            return find_zero(g, *args, **kwargs)
+
+        monkeypatch.setattr(scribe, "find_zero", counted)
+        for pair in random_pairs(105, 500, 1e-2):
+            for mode in ScribeMode:
+                scribe_times(ScribeProblem(*pair, mode))
+        assert sum(calls) / len(calls) <= 12.0
 
 
 class TestScribeTimes:
@@ -240,6 +279,64 @@ def phantom(point: Vec2, st: PlayerState, params: PlayerParams) -> ScribeProblem
     return ScribeProblem(point - st.pos, -st.vel, params.mu, 0.0, params.u_max)
 
 
+# a case is a problem and the arguments of oracle.tangency_times for it
+
+def phantom_case(point: Vec2, st: PlayerState, params: PlayerParams) -> tuple:
+    parked = PlayerState(point, Vec2(0.0, 0.0))
+    return (phantom(point, st, params),
+            (parked, 0.0, st, params.u_max, params.mu, False))
+
+
+def pair_case(cfg, mode: ScribeMode) -> tuple:
+    return (cfg.scribe_problem(mode),
+            (cfg.attacker, cfg.attacker_params.u_max, cfg.defender,
+             cfg.defender_params.u_max, cfg.mu, mode is ScribeMode.INSCRIBE))
+
+
+def tangent_and_cusp_cases(params, special1, overtake) -> list[tuple]:
+    """Problems with tangent roots, three simple roots and boundary cusps."""
+    mover = PlayerState(Vec2(0, 0), Vec2(1, 0))
+    cases = [phantom_case(Vec2(0.3068528194400547, 0.0), mover, params),
+             pair_case(overtake, ScribeMode.CIRCUMSCRIBE)]
+    cases += [pair_case(special1, mode) for mode in ScribeMode]
+    for st, par in ((mover, params),
+                    (special1.defender, special1.defender_params)):
+        cases.append(phantom_case(
+            boundary_point(st, par, cusp_time(st, par), Branch.PLUS), st, par))
+        # points on both branches of the region boundary are tangent roots
+        cases += [phantom_case(boundary_point(st, par, t, branch), st, par)
+                  for t in (0.1, 0.3, 0.5) for branch in Branch]
+    return cases
+
+
+def game_state_cases() -> list[tuple]:
+    """Both tangency modes and both players' reach times of the target at
+    the first, middle and last states of the five bundled games."""
+    cases = []
+    for name in ("case1", "case2", "case3", "special1", "special2"):
+        sc = load(SCENARIOS / f"{name}.json").scenario
+        rows = run(sc).rows
+        for i in (0, len(rows) // 2, len(rows) - 1):
+            cfg = replace(sc.cfg, attacker=rows[i].attacker, defender=rows[i].defender)
+            cases += [pair_case(cfg, mode) for mode in ScribeMode]
+            cases += [phantom_case(cfg.target, st, par)
+                      for st, par in ((cfg.attacker, cfg.attacker_params),
+                                      (cfg.defender, cfg.defender_params))]
+    return cases
+
+
+def test_tangency_and_reach_times_match_a_40_digit_oracle(params, special1, overtake):
+    """The same count, a tangent root twice, and every time within ROOT_TOL
+    of tests/oracle.py."""
+    cases = game_state_cases() + tangent_and_cusp_cases(params, special1, overtake)
+    assert len(cases) == 78
+    for problem, args in cases:
+        mine = scribe_times(problem).expanded()
+        want = oracle.tangency_times(*args)
+        assert len(mine) == len(want), args
+        assert np.abs(np.subtract(mine, want)).max() <= ROOT_TOL, args
+
+
 class TestBatch:
     """The batch solver equals the scalar one bit for bit (== on floats,
     nan padding == nan padding)."""
@@ -250,17 +347,7 @@ class TestBatch:
         assert_rows_equal(batch_roots(problems), [scribe_times(p) for p in problems])
 
     def test_tangent_and_cusp_problems(self, params, special1, overtake):
-        mover = PlayerState(Vec2(0, 0), Vec2(1, 0))
-        problems = [phantom(Vec2(0.3068528194400547, 0.0), mover, params),
-                    overtake.scribe_problem(ScribeMode.CIRCUMSCRIBE)]
-        problems += [special1.scribe_problem(mode) for mode in ScribeMode]
-        for st, par in ((mover, params),
-                        (special1.defender, special1.defender_params)):
-            problems.append(phantom(
-                boundary_point(st, par, cusp_time(st, par), Branch.PLUS), st, par))
-            # points on both branches of the region boundary are tangent roots
-            problems += [phantom(boundary_point(st, par, t, branch), st, par)
-                         for t in (0.1, 0.3, 0.5) for branch in Branch]
+        problems = [p for p, _ in tangent_and_cusp_cases(params, special1, overtake)]
         ref = [scribe_times(p) for p in problems]
         kinds = {r.multiplicities for r in ref}
         assert {(1, 2), (2, 1), (2,), (1, 1, 1)} <= kinds
