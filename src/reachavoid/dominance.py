@@ -37,10 +37,11 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (Control, DomainError, InfeasibleTargetError,
-                       PlayerParams, PlayerState, damped_time, isochron_xyr,
-                       path_xy, steer_to)
-from .geometry import Vec2, point_in_polygon, polygon_area
+from .dynamics import (BOUNDARY_SLACK, Control, DomainError,
+                       InfeasibleTargetError, PlayerParams, PlayerState,
+                       damped_time, isochron_xyr, path_xy, steer_controls,
+                       steer_to)
+from .geometry import Vec2, mapped, point_in_polygon, polygon_area, wrap_angle
 from .mrr import CLASSIFY_TOL, merge_roots, mrr_boundary
 from .scribe import (RootSet, ScribeMode, ScribeProblem, find_zero,
                      reach_times, reach_times_many, scribe_times)
@@ -233,7 +234,8 @@ def capture_boundary(cfg: GameConfig, samples: int = SWEEP_SAMPLES) -> CaptureBo
         n = max(8, int(round(n_samples * (b - a) / total))) if total > 0 else 8
         ts = np.linspace(a, b, n)
         plus, minus, valid = intersection_points(cfg, ts)
-        # tangency collapse at interval ends: force exact single points there
+        # the ends are tangency times, where h = 0 in exact arithmetic: an end
+        # sample stays only if `valid` at the solved time, so rounding decides
         loop_pts = np.vstack([plus[valid], minus[valid][::-1]])
         loop_t = np.concatenate([ts[valid], ts[valid][::-1]])
         loop_side = np.concatenate([np.ones(valid.sum()), -np.ones(valid.sum())])
@@ -532,42 +534,39 @@ def run_times(t_end: np.ndarray) -> np.ndarray:
     return ts
 
 
-def straight_runs(cfg: GameConfig, points: list[tuple[float, float]],
-                  times: list[float]) -> tuple[list[Optional[Control]], np.ndarray]:
-    """Controls and sampled minimum clearances of the attacker's saturated
-    straight runs to points[i] arriving at times[i] > 0.
-
-    A positive clearance means the run is never interceptable at the sampled
-    resolution (see clearance_at).  A run that steer_to rejects gets None and
-    a clearance of -inf.  Runs are evaluated RUN_CHUNK at a time, and each
-    run's result does not depend on the others.
-    """
-    mu = cfg.mu
-    ctrls: list[Optional[Control]] = []
-    # per feasible run: index, amplitude u/mu, heading cosine and sine, time
-    runs = []
-    for i, ((x, y), t) in enumerate(zip(points, times)):
-        try:
-            c = steer_to(cfg.attacker, cfg.attacker_params, Vec2(x, y), t)
-        except (InfeasibleTargetError, DomainError):
-            c = None
-        else:
-            runs.append((i, c.u / mu, math.cos(c.theta), math.sin(c.theta), t))
-        ctrls.append(c)
-    clearance = np.full(len(ctrls), -np.inf)
+def _run_clearance(cfg: GameConfig, runs: np.ndarray) -> np.ndarray:
+    """Sampled minimum clearances of the attacker's straight runs, one per
+    row (u/mu, heading cosine, heading sine, arrival time), RUN_CHUNK rows at
+    a time; each run's result does not depend on the others."""
+    clearance = np.empty(len(runs))
     for lo in range(0, len(runs), RUN_CHUNK):
-        chunk = np.array(runs[lo:lo + RUN_CHUNK])
-        amp, hx, hy = chunk[:, 1:2], chunk[:, 2:3], chunk[:, 3:4]
-        ts = run_times(chunk[:, 4])
-        s = damped_time(mu, ts)
+        chunk = runs[lo:lo + RUN_CHUNK]
+        amp, hx, hy = chunk[:, 0:1], chunk[:, 1:2], chunk[:, 2:3]
+        ts = run_times(chunk[:, 3])
+        s = damped_time(cfg.mu, ts)
         # path_xy's position: the drift center plus the thrust displacement
         cx, cy, _ = isochron_xyr(cfg.attacker, cfg.attacker_params, ts, s)
         dx, dy, rd = isochron_xyr(cfg.defender, cfg.defender_params, ts, s)
         ramp = ts - s
         px, py = cx + amp * ramp * hx, cy + amp * ramp * hy
-        clearance[chunk[:, 0].astype(int)] = \
-            (np.hypot(px - dx, py - dy) - rd).min(axis=1)
-    return ctrls, clearance
+        clearance[lo:lo + RUN_CHUNK] = (np.hypot(px - dx, py - dy) - rd).min(axis=1)
+    return clearance
+
+
+def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
+    """Sampled minimum clearances of the attacker's saturated straight runs to
+    points[i] (x, y pairs) arriving at times[i] > 0, under steer_to's controls
+    (one array pass of its formula); -inf where steer_to rejects the run.  A
+    positive clearance: never interceptable at the sampled resolution."""
+    x, y = np.array(points, dtype=float).reshape(-1, 2).T
+    t = np.array(times, dtype=float)
+    u, theta, dist, r = steer_controls(cfg.attacker, cfg.attacker_params, x, y, t)
+    ok = np.where(r > 0.0, dist <= r + BOUNDARY_SLACK, dist <= BOUNDARY_SLACK)
+    heading = wrap_angle(theta[ok])
+    clearance = np.full(len(t), -np.inf)
+    clearance[ok] = _run_clearance(cfg, np.column_stack(
+        [u[ok] / cfg.mu, mapped(math.cos, heading), mapped(math.sin, heading), t[ok]]))
+    return clearance
 
 
 def safe_straight_run(cfg: GameConfig, point: Vec2,
@@ -576,9 +575,13 @@ def safe_straight_run(cfg: GameConfig, point: Vec2,
     trying the positive arrival `times` in order; None when there is none."""
     for t in times:
         if t > 0.0:
-            ctrls, clearance = straight_runs(cfg, [(point.x, point.y)], [t])
-            if clearance[0] > 0.0:
-                return ctrls[0]
+            try:
+                c = steer_to(cfg.attacker, cfg.attacker_params, point, t)
+            except InfeasibleTargetError:
+                continue
+            run = [c.u / cfg.mu, math.cos(c.theta), math.sin(c.theta), t]
+            if _run_clearance(cfg, np.array([run]))[0] > 0.0:
+                return c
     return None
 
 
@@ -651,8 +654,7 @@ def _labels(cfg: GameConfig, pts: np.ndarray, atk: np.ndarray,
         # each cell's winning times in order, as safe_straight_run tries them
         rows = np.nonzero(won & ~safe & w & (t > 0.0))[0]
         if len(rows):
-            _, clearance = straight_runs(cfg, pts[rows].tolist(), t[rows].tolist())
-            safe[rows] = clearance > 0.0
+            safe[rows] = straight_runs(cfg, pts[rows], t[rows]) > 0.0
     r3 = np.zeros(len(pts), dtype=bool)
     timing = np.nonzero(undecided & ~won & ~np.isnan(ed[2])
                         & (ed[0] + tol < ea[0]) & (ea[0] < ed[1] - tol))[0]

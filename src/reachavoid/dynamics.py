@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Vec2, wrap_angle
+from .geometry import Vec2, mapped, wrap_angle
 
 # slack used when clamping targets that sit a rounding error outside a disc
 BOUNDARY_SLACK = 1e-9
@@ -137,6 +137,22 @@ def isochron(state: PlayerState, params: PlayerParams, t: float) -> Isochron:
     return Isochron(t=t, center=Vec2(cx, cy), radius=radius)
 
 
+def steer_controls(state: PlayerState, params: PlayerParams, x, y, t):
+    """steer_to's formula for targets (x, y) reached at times t > 0, on floats
+    or 1-D arrays alike: (u, theta before wrapping, the target's distance from
+    the isochron center, the isochron radius); u, theta are 0 at radius <= 0."""
+    s = (1.0 - mapped(math.exp, -params.mu * t)) / params.mu
+    cx, cy, r = isochron_xyr(state, params, t, s)
+    dist = mapped(math.hypot, x - cx, y - cy)
+    theta = mapped(math.atan2, y - cy, x - cx)
+    if isinstance(t, np.ndarray):
+        thrust = r > 0.0
+        u = np.minimum(params.u_max * dist / np.where(thrust, r, np.inf), params.u_max)
+        return u, np.where(thrust & (dist > 0.0), theta, 0.0), dist, r
+    u = min(params.u_max * dist / r, params.u_max) if r > 0.0 else 0.0
+    return u, theta if r > 0.0 and dist > 0.0 else 0.0, dist, r
+
+
 def steer_to(state: PlayerState, params: PlayerParams, target: Vec2,
              t_f: float) -> Control:
     """Constant control that lands exactly on `target` at time t_f.
@@ -150,18 +166,13 @@ def steer_to(state: PlayerState, params: PlayerParams, target: Vec2,
             return Control(0.0, 0.0)
         raise InfeasibleTargetError(
             f"cannot reach {target} in non-positive time {t_f}")
-    circ = isochron(state, params, t_f)
-    offset = target - circ.center
-    dist = offset.norm()
-    if circ.radius <= 0.0:
-        if dist <= BOUNDARY_SLACK:
-            return Control(0.0, 0.0)
-        raise InfeasibleTargetError(
-            f"target {dist} away from drift point but max radius is 0 at t={t_f}")
-    if dist > circ.radius + BOUNDARY_SLACK:
+    u, theta, dist, radius = steer_controls(state, params, target.x, target.y, t_f)
+    if radius <= 0.0:
+        if dist > BOUNDARY_SLACK:
+            raise InfeasibleTargetError(
+                f"target {dist} away from drift point but max radius is 0 at t={t_f}")
+    elif dist > radius + BOUNDARY_SLACK:
         raise InfeasibleTargetError(
             f"target outside reachable disc at t={t_f}: "
-            f"distance {dist} > radius {circ.radius}")
-    u = min(params.u_max * dist / circ.radius, params.u_max)
-    theta = offset.angle() if dist > 0.0 else 0.0
+            f"distance {dist} > radius {radius}")
     return Control(u, theta)

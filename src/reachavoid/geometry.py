@@ -15,10 +15,21 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(theta: float) -> float:
-    """Normalize an angle to [0, 2*pi)."""
+def wrap_angle(theta):
+    """Normalize an angle (a float or an array) to [0, 2*pi)."""
+    if isinstance(theta, np.ndarray):
+        th = np.fmod(theta, TWO_PI)
+        return np.where(th < 0.0, th + TWO_PI, th)
     th = math.fmod(theta, TWO_PI)
     return th + TWO_PI if th < 0.0 else th
+
+
+def mapped(fn, *args):
+    """math's `fn` on floats, or element-wise on equal 1-D arrays, for array
+    kernels that must equal their float calls (numpy's exp, atan2 differ)."""
+    if isinstance(args[0], np.ndarray):
+        return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
+    return fn(*args)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import (DomainError, PlayerParams, PlayerState, damped_time,
-                       isochron_xyr)
-from .geometry import Vec2, wrap_angle
+from .dynamics import DomainError, PlayerParams, PlayerState, isochron_xyr
+from .geometry import Vec2, mapped, wrap_angle
 from .scribe import find_zero, reach_times
 
 # reach times closer than this (scaled by 1+t) merge into a boundary label
@@ -115,39 +114,38 @@ def cusp_time(state: PlayerState, params: PlayerParams) -> float:
     return root
 
 
-def _heading(vx: float, vy: float, params: PlayerParams, t: float,
-             sign: float) -> float:
-    """Heading whose trajectory from velocity (vx, vy) is tangent to its own
-    isochron at time t; sign +1 picks the counter-clockwise branch."""
-    vnorm = math.hypot(vx, vy)
-    if vnorm == 0.0:
+def boundary_xy(state: PlayerState, params: PlayerParams, t: np.ndarray,
+                sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """x, y of the MRR boundary at the parameters `t` (a 1-D array) on branch
+    `sign` (+1 counter-clockwise): where the saturated run tangent to its own
+    isochron at time t ends, at the run's heading from the isochron center."""
+    live = t > 0.0
+    vnorm = state.vel.norm()
+    if vnorm == 0.0 and live.any():
         raise DomainError("tangency heading undefined for a player at rest")
-    b = (params.u_max / params.mu) * (math.exp(params.mu * t) - 1.0)
+    b = (params.u_max / params.mu) * (mapped(math.exp, params.mu * t) - 1.0)
     m_sq = vnorm * vnorm - b * b
-    if m_sq < -1e-12 * vnorm * vnorm:
-        raise DomainError(f"no tangency heading beyond the barrier time (t={t})")
-    m = math.sqrt(max(m_sq, 0.0))
-    hx, hy = vx / vnorm, vy / vnorm
+    beyond = live & (m_sq < -1e-12 * vnorm * vnorm)
+    if beyond.any():
+        raise DomainError("no tangency heading beyond the barrier time "
+                          f"(t={t[beyond][0]})")
+    m = np.sqrt(np.maximum(m_sq, 0.0))
+    vnorm = vnorm or 1.0  # at rest every t <= 0: the start point, below
+    hx, hy = state.vel.x / vnorm, state.vel.y / vnorm
     # (-b * vhat + sign * m * perp(vhat)) / |v|, perp a quarter turn
-    return math.atan2((-b * hy + sign * m * hx) / vnorm,
-                      (-b * hx + sign * m * -hy) / vnorm)
-
-
-def _boundary_xy(state: PlayerState, params: PlayerParams, t: float,
-                 sign: float) -> tuple[float, float]:
-    """boundary_point as floats: the tangent saturated run ends on its
-    isochron, at the run's heading from the isochron's center."""
-    if t <= 0.0:
-        return state.pos.x, state.pos.y
-    theta = wrap_angle(_heading(state.vel.x, state.vel.y, params, t, sign))
-    cx, cy, r = isochron_xyr(state, params, t, damped_time(params.mu, t))
-    return cx + r * math.cos(theta), cy + r * math.sin(theta)
+    theta = wrap_angle(mapped(math.atan2, (-b * hy + sign * m * hx) / vnorm,
+                              (-b * hx + sign * m * -hy) / vnorm))
+    cx, cy, r = isochron_xyr(state, params, t,
+                             (1.0 - mapped(math.exp, -params.mu * t)) / params.mu)
+    return (np.where(live, cx + r * mapped(math.cos, theta), state.pos.x),
+            np.where(live, cy + r * mapped(math.sin, theta), state.pos.y))
 
 
 def boundary_point(state: PlayerState, params: PlayerParams, t: float,
                    branch: Branch) -> Vec2:
     """Point of the MRR boundary with two equal reach times at parameter t."""
-    return Vec2(*_boundary_xy(state, params, t, float(branch.value)))
+    x, y = boundary_xy(state, params, np.array([t]), float(branch.value))
+    return Vec2(x[0], y[0])
 
 
 def _branch_params(t_lo: float, t_hi: float, n: int, refine_at: float) -> np.ndarray:
@@ -180,14 +178,13 @@ def mrr_boundary(state: PlayerState, params: PlayerParams,
     t_i = _branch_params(0.0, t_u, samples, refine_at=t_u)
     t_ii = _branch_params(t_u, t_s, samples, refine_at=t_u)
 
-    def arc(ts: list[float], sign: float) -> list[tuple[float, float, float]]:
-        return [(t, *_boundary_xy(state, params, t, sign)) for t in ts]
+    def arc(ts: np.ndarray, sign: float) -> np.ndarray:
+        return np.column_stack([ts, *boundary_xy(state, params, ts, sign)])
 
-    t_i, t_ii = t_i.tolist(), t_ii.tolist()
-    branch_i = arc(t_i[::-1], -1.0) + arc(t_i, 1.0)
-    branch_ii = arc(t_ii, 1.0) + arc(t_ii[::-1], -1.0)
+    branch_i = np.vstack([arc(t_i[::-1], -1.0), arc(t_i, 1.0)])
+    branch_ii = np.vstack([arc(t_ii, 1.0), arc(t_ii[::-1], -1.0)])
     return MrrBoundary(t_s=t_s, t_u=t_u, x_s=x_s, cusps=(cusp_plus, cusp_minus),
-                       branch_i=np.array(branch_i), branch_ii=np.array(branch_ii))
+                       branch_i=branch_i, branch_ii=branch_ii)
 
 
 def classify(point: Vec2, state: PlayerState, params: PlayerParams) -> ReachClassification:

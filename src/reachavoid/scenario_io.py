@@ -197,7 +197,7 @@ def trace_to_csv(trace: GameTrace) -> str:
 
 def regions_to_csv(xs, ys, labels) -> str:
     lines = ["x,y,label"]
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            lines.append(f"{float(x):.17g},{float(y):.17g},{labels[j][i].value}")
+    cols = [f"{float(x):.17g}," for x in xs]
+    for y_text, row in zip((f"{float(y):.17g}," for y in ys), labels):
+        lines += [x_text + y_text + lab.value for x_text, lab in zip(cols, row)]
     return "\n".join(lines) + "\n"

@@ -51,8 +51,12 @@ class SvgCanvas:
                  width: float = 1.5) -> None:
         if len(points) < 2:
             return
-        self._track([p[0] for p in points], [p[1] for p in points])
-        data = " ".join(f"{_f(p[0])},{_f(p[1])}" for p in points)
+        xy = [None] * (2 * len(points))
+        xy[0::2], xy[1::2] = [p[0] for p in points], [p[1] for p in points]
+        self._track(xy[0::2], xy[1::2])
+        # _f on every coordinate: one formatting pass, one -0.000000 rewrite
+        data = ((" %.6f,%.6f" * len(points))[1:] % tuple(xy)).replace(
+            "-0.000000", "0.000000")
         self.elements.append(
             f'<polyline fill="none" stroke="{color}" '
             f'stroke-width="{_f(width)}" points="{data}" />')
@@ -146,7 +150,7 @@ def mrr_figure(boundary: MrrBoundary) -> str:
 
 def region_figure(cfg: GameConfig, xs, ys, labels,
                   overlays: dict | None = None) -> str:
-    """Layered region map: one cell layer per label plus boundary overlays."""
+    """Layered region map: a cell layer per label, overlays of (n, 2) arrays."""
     cv = SvgCanvas()
     w = float(xs[1] - xs[0])
     h = float(ys[1] - ys[0])
@@ -170,7 +174,7 @@ def region_figure(cfg: GameConfig, xs, ys, labels,
         for name, polylines in overlays.items():
             cv.open_layer(name)
             for pts in polylines:
-                cv.polyline([(float(p[0]), float(p[1])) for p in pts],
+                cv.polyline(pts.tolist(),
                             LABEL_COLORS.get(RegionLabel.BOUNDARY_L, "#222222")
                             if "boundary_L" in name else "#8a4fff",
                             1.2)

@@ -15,7 +15,8 @@ from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, SAFETY_SAMPLES,
                                   _dip_candidates, _l_point,
                                   arrival_alignment,
                                   clearance_at, intersection_points,
-                                  matched_index, run_times, straight_runs)
+                                  matched_index, run_times,
+                                  safe_straight_run, straight_runs)
 from reachavoid.geometry import point_in_polygon
 
 from conftest import make_cfg, random_player
@@ -377,24 +378,24 @@ class TestStraightRuns:
         rng = np.random.default_rng(52)
         for cfg in (special1, case2):
             points, times = self.runs(cfg, rng, 2 * RUN_CHUNK + 60)
-            ctrls, clearance = straight_runs(cfg, points, times)
+            clearance = straight_runs(cfg, points, times)
             safe = clearance > 0.0
             assert 0 < safe.sum() < len(safe)
             for i, ((x, y), t) in enumerate(zip(points, times)):
-                one_ctrl, one = straight_runs(cfg, [(x, y)], [t])
-                assert one_ctrl[0] == ctrls[i]
-                assert one[0] == clearance[i]
-                if ctrls[i] is None:
+                assert straight_runs(cfg, [(x, y)], [t])[0] == clearance[i]
+                try:
+                    ctrl = steer_to(cfg.attacker, cfg.attacker_params,
+                                    Vec2(x, y), t)
+                except InfeasibleTargetError:
                     assert clearance[i] == -np.inf
-                    with pytest.raises(InfeasibleTargetError):
-                        steer_to(cfg.attacker, cfg.attacker_params, Vec2(x, y), t)
+                    assert safe_straight_run(cfg, Vec2(x, y), [t]) is None
                     continue
-                assert ctrls[i] == steer_to(cfg.attacker, cfg.attacker_params,
-                                            Vec2(x, y), t)
                 ts = np.linspace(t / SAFETY_SAMPLES, t, SAFETY_SAMPLES)
-                reference = float(clearance_at(cfg, ctrls[i], ts).min())
+                reference = float(clearance_at(cfg, ctrl, ts).min())
                 assert clearance[i] == reference
                 assert safe[i] == (reference > 0.0)
+                assert safe_straight_run(cfg, Vec2(x, y), [t]) == \
+                    (ctrl if safe[i] else None)
 
     def test_time_grid_is_linspace(self):
         rng = np.random.default_rng(53)

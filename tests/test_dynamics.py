@@ -6,6 +6,7 @@ import pytest
 from reachavoid import (Control, DomainError, InfeasibleTargetError,
                         PlayerParams, PlayerState, Vec2, isochron, propagate,
                         steer_to)
+from reachavoid.dynamics import steer_controls
 
 
 def rest(x=0.0, y=0.0):
@@ -180,6 +181,32 @@ class TestSteerTo:
         iso = isochron(st, params, 1.0)
         ctrl = steer_to(st, params, Vec2(iso.radius + 5e-10, 0.0), 1.0)
         assert ctrl.u == 1.0
+
+    def test_array_formula_equals_float_calls(self, params):
+        # targets inside, on and beyond the disc, at the drift point, and at
+        # times and thrusts that leave a zero radius
+        rng = np.random.default_rng(12)
+        st = PlayerState(Vec2(0.2, -0.1), Vec2(0.5, 0.3))
+        for par in (params, PlayerParams(0.7, 0.005), PlayerParams(0.0, 1.0)):
+            t = np.concatenate([rng.uniform(0.01, 4.0, 400), [1e-300, 1e-12]])
+            x, y = np.empty_like(t), np.empty_like(t)
+            for i, ti in enumerate(t.tolist()):
+                iso = isochron(st, par, ti)
+                k = (0.0, 1.0, 2.0, rng.uniform())[i % 4]
+                p = iso.center + Vec2.from_polar(k * iso.radius + (i % 3) * 6e-10,
+                                                 rng.uniform(-4.0, 4.0))
+                x[i], y[i] = p.x, p.y
+            rows = zip(*(a.tolist() for a in steer_controls(st, par, x, y, t)))
+            accepted = 0
+            for xi, yi, ti, row in zip(x.tolist(), y.tolist(), t.tolist(), rows):
+                assert row == steer_controls(st, par, xi, yi, ti)
+                try:
+                    ctrl = steer_to(st, par, Vec2(xi, yi), ti)
+                except InfeasibleTargetError:
+                    continue
+                accepted += 1
+                assert ctrl == Control(row[0], row[1])
+            assert 0 < accepted < len(t)
 
 
 class TestControlNormalization:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from reachavoid.geometry import (Vec2, point_in_polygon, polygon_area,
-                                 wrap_angle)
+from reachavoid.geometry import (Vec2, mapped, point_in_polygon,
+                                 polygon_area, wrap_angle)
 
 
 class TestVec2:
@@ -30,6 +30,23 @@ class TestAngles:
     def test_wrap(self):
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
         assert wrap_angle(5 * math.pi) == pytest.approx(math.pi)
+
+    def test_wrap_array_equals_float_calls(self):
+        rng = np.random.default_rng(3)
+        theta = np.concatenate([rng.uniform(-20.0, 20.0, 500),
+                                [-0.0, 0.0, -1e-17, 2 * math.pi, -2 * math.pi]])
+        wrapped = wrap_angle(theta)
+        assert [math.copysign(1.0, v) for v in wrapped.tolist()] == \
+            [math.copysign(1.0, wrap_angle(v)) for v in theta.tolist()]
+        assert wrapped.tolist() == [wrap_angle(v) for v in theta.tolist()]
+
+    def test_mapped_calls_math(self):
+        x = np.array([0.1, -2.5, 7.0])
+        assert mapped(math.exp, x).tolist() == [math.exp(v) for v in x.tolist()]
+        assert mapped(math.atan2, x, x[::-1]).tolist() == \
+            [math.atan2(a, b) for a, b in zip(x.tolist(), x[::-1].tolist())]
+        assert mapped(math.hypot, 3.0, 4.0) == 5.0
+        assert mapped(math.cos, np.array([])).shape == (0,)
 
 
 class TestPolygons:

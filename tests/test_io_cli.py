@@ -9,6 +9,7 @@ from reachavoid import RegionLabel, r3_certificates, run, tangency_windows
 from reachavoid.cli import main
 from reachavoid.scenario_io import (SchemaError, dumps, load, loads,
                                     regions_to_csv, trace_to_csv)
+from reachavoid.svgplot import SvgCanvas, _f
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -84,6 +85,35 @@ class TestCsv:
         assert lines[0] == "x,y,label"
         assert len(lines) == 5
         assert lines[1].endswith("R_I")
+
+    def test_regions_csv_equals_per_cell_format(self):
+        import numpy as np
+        rng = np.random.default_rng(4)
+        xs = np.linspace(-1.3, 2.7, 7)
+        ys = np.array([-0.0, 1e-17, 0.1, 2.0 / 3.0])
+        kinds = list(RegionLabel)
+        labels = [[kinds[k] for k in rng.integers(len(kinds), size=len(xs))]
+                  for _ in ys]
+        reference = ["x,y,label"] + [
+            f"{float(x):.17g},{float(y):.17g},{labels[j][i].value}"
+            for j, y in enumerate(ys) for i, x in enumerate(xs)]
+        assert regions_to_csv(xs, ys, labels) == "\n".join(reference) + "\n"
+
+
+class TestSvg:
+    def test_polyline_equals_per_vertex_format(self):
+        import numpy as np
+        values = [-0.0, -4e-7, 4e-7, -1234.5678905, 1e6, -5e-7, 5e-7, 0.1, 3]
+        pairs = list(zip(values, values[::-1]))
+        reference = " ".join(f"{_f(x)},{_f(y)}" for x, y in pairs)
+        for points in (pairs, np.array(pairs), np.array(pairs).tolist()):
+            cv = SvgCanvas()
+            cv.polyline(points, "#123456", 1.2)
+            assert cv.elements == [
+                f'<polyline fill="none" stroke="#123456" stroke-width="1.200000" '
+                f'points="{reference}" />']
+            assert "-0.000000" not in cv.elements[0]
+            assert cv.xs == values and cv.ys == values[::-1]
 
 
 class TestCliSimulate:

@@ -211,6 +211,68 @@ def segment_positions(state, params, segments, ts):
     return out
 
 
+def scalar_boundary_xy(state, params, t, sign):
+    """The MRR boundary point by the float formula, math functions only: the
+    saturated run tangent to its own isochron at time t ends on it, at the
+    run's heading (wrapped to [0, 2*pi)) from the isochron's center."""
+    if t <= 0.0:
+        return state.pos.x, state.pos.y
+    vx, vy = state.vel.x, state.vel.y
+    vnorm = math.hypot(vx, vy)
+    b = (params.u_max / params.mu) * (math.exp(params.mu * t) - 1.0)
+    m = math.sqrt(max(vnorm * vnorm - b * b, 0.0))
+    hx, hy = vx / vnorm, vy / vnorm
+    theta = math.fmod(math.atan2((-b * hy + sign * m * hx) / vnorm,
+                                 (-b * hx + sign * m * -hy) / vnorm), 2 * math.pi)
+    theta = theta + 2 * math.pi if theta < 0.0 else theta
+    s = (1.0 - math.exp(-params.mu * t)) / params.mu
+    r = (params.u_max / params.mu) * (t - s)
+    return (state.pos.x + state.vel.x * s + r * math.cos(theta),
+            state.pos.y + state.vel.y * s + r * math.sin(theta))
+
+
+class TestBoundaryKernel:
+    """The array kernel behind mrr_boundary and boundary_point equals the
+    float formula bit for bit."""
+
+    @pytest.fixture
+    def players(self, special1):
+        return {"special1 defender": (special1.defender, special1.defender_params),
+                "low damping": (PlayerState(Vec2(0.3, -0.2), Vec2(0.3, 0.4)),
+                                PlayerParams(1.0, 0.005)),
+                "slow": (PlayerState(Vec2(-1.0, 0.5), Vec2(0.01, -0.02)),
+                         PlayerParams(1.0, 1.0)),
+                "fast": (PlayerState(Vec2(0.0, 0.0), Vec2(-1.9, 0.6)),
+                         PlayerParams(2.0, 1.0))}
+
+    def test_rows_equal_scalar_formula(self, players):
+        for name, (st, par) in players.items():
+            b = mrr_boundary(st, par)
+            n = len(b.branch_i) // 2
+            m = len(b.branch_ii) // 2
+            halves = ((b.branch_i[:n], -1.0), (b.branch_i[n:], 1.0),
+                      (b.branch_ii[:m], 1.0), (b.branch_ii[m:], -1.0))
+            for rows, sign in halves:
+                for t, x, y in rows.tolist():
+                    assert (x, y) == scalar_boundary_xy(st, par, t, sign), name
+            for branch in Branch:
+                for t in (0.0, b.t_u, b.t_s):
+                    p = boundary_point(st, par, t, branch)
+                    assert (p.x, p.y) == scalar_boundary_xy(
+                        st, par, t, float(branch.value)), name
+
+    def test_domain_errors_kept(self, players):
+        for st, par in players.values():
+            t_s = barrier_time(st, par)
+            with pytest.raises(DomainError, match="beyond the barrier"):
+                boundary_point(st, par, t_s * 1.01, Branch.MINUS)
+        rest = PlayerState(Vec2(0.5, 0.5), Vec2(0.0, 0.0))
+        with pytest.raises(DomainError, match="at rest"):
+            boundary_point(rest, PlayerParams(1.0, 1.0), 0.3, Branch.PLUS)
+        assert boundary_point(rest, PlayerParams(1.0, 1.0), 0.0,
+                              Branch.PLUS) == rest.pos
+
+
 class TestUnreachableWindow:
     def test_no_control_hits_triple_point_in_the_gap(self, params):
         # the middle window (t2, t3) is closed to every admissible control
