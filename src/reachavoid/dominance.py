@@ -30,6 +30,7 @@ render the skeleton.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,7 +49,7 @@ from .scribe import (RootSet, ScribeMode, ScribeProblem, find_zero,
 
 # default number of sweep samples along the full tangency window
 SWEEP_SAMPLES = 2048
-# samples used when annotating reach-time indices along L (each costs a solve)
+# sweep samples of L for the defender's reach-time index (one batch solve)
 ANNOTATE_SAMPLES = 600
 # trajectory samples for the straight-run safety check behind R_I
 SAFETY_SAMPLES = 200
@@ -274,30 +275,29 @@ def arrival_alignment(state: PlayerState, params: PlayerParams, point: Vec2,
     ctrl = steer_to(state, params, point, t)
     if t < 0.0:
         raise DomainError(f"propagation time must be >= 0, got {t}")
-    # the terminal velocity of propagate, dotted with the heading
-    decay = math.exp(-params.mu * t)
-    a = ctrl.u / params.mu
-    hx, hy = math.cos(ctrl.theta), math.sin(ctrl.theta)
+    return _alignment(state, params, ctrl.u, ctrl.theta, t)
+
+
+def _alignment(state: PlayerState, params: PlayerParams, u, theta, t):
+    """propagate's terminal velocity at t under thrust u along the heading
+    theta, dotted with the heading; floats or 1-D arrays alike."""
+    decay = mapped(math.exp, -params.mu * t)
+    a = u / params.mu
+    heading = wrap_angle(theta)
+    hx, hy = mapped(math.cos, heading), mapped(math.sin, heading)
     return ((state.vel.x * decay + a * (1.0 - decay) * hx) * hx
             + (state.vel.y * decay + a * (1.0 - decay) * hy) * hy)
 
 
 def _annotate_segment(cfg: GameConfig, seg: BoundarySegment) -> np.ndarray:
-    """Matched (attacker, defender) reach-time indices of each vertex of L."""
-    pairs = np.zeros((len(seg), 2), dtype=int)
-    players = ((cfg.attacker, cfg.attacker_params),
-               (cfg.defender, cfg.defender_params))
-    for k, (state, params) in enumerate(players):
-        rows = reach_times_many(seg.points, state, params).tolist()
-        for i, r in enumerate(rows):
-            p = Vec2(float(seg.points[i, 0]), float(seg.points[i, 1]))
-            t = float(seg.params[i])
-            try:
-                align = arrival_alignment(state, params, p, t)
-            except (InfeasibleTargetError, DomainError):
-                align = 0.0
-            pairs[i, k] = matched_index(r, t, align)
-    return pairs
+    """The defender's matched reach-time index at each vertex of L: one batch
+    solve, one array pass of arrival_alignment (0 where steer_to rejects)."""
+    state, params, t = cfg.defender, cfg.defender_params, seg.params
+    u, theta, dist, r = steer_controls(state, params, *seg.points.T, t)
+    ok = np.where(r > 0.0, dist <= r + BOUNDARY_SLACK, dist <= BOUNDARY_SLACK)
+    align = np.where(ok, _alignment(state, params, u, theta, t), 0.0)
+    rows = reach_times_many(seg.points, state, params).tolist()
+    return np.array(list(map(matched_index, rows, t.tolist(), align.tolist())), dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -409,22 +409,14 @@ def _ring_cut(ring: np.ndarray, i: int, j: int, forward: bool) -> np.ndarray:
     return ring[idx]
 
 
-def _defender_time_split(segments, pairs_per_segment):
+def _defender_time_split(segments, index_per_segment):
     """Group annotated L vertices into maximal runs matched to t_D2."""
     runs = []
-    for seg, pairs in zip(segments, pairs_per_segment):
+    for seg, index in zip(segments, index_per_segment):
         for side in (1.0, -1.0):
-            mask = (seg.sides == side) & (pairs[:, 1] == 2)
-            idx = np.flatnonzero(mask)
-            if len(idx) == 0:
-                continue
-            breaks = np.flatnonzero(np.diff(idx) > 1)
-            start = 0
-            for stop in list(breaks) + [len(idx) - 1]:
-                chunk = idx[start:stop + 1]
-                start = stop + 1
-                if len(chunk) >= 3:
-                    runs.append(seg.points[chunk])
+            idx = np.flatnonzero((seg.sides == side) & (index == 2))
+            runs += [seg.points[chunk] for chunk in
+                     np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if len(chunk) >= 3]
     return runs
 
 
@@ -486,7 +478,6 @@ def _cond2_components(cfg: GameConfig) -> list[R3Component]:
             return loop
         return None
 
-    import itertools
     n = len(runs)
     orders = [list(perm) for k in range(1, n + 1)
               for perm in itertools.permutations(range(n), k)]

@@ -44,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import PlayerParams, PlayerState, damped_time
-from .geometry import Vec2
+from .geometry import Vec2, mapped
 
 # absolute tolerance on solved times; downstream geometry subtracts nearby times
 ROOT_TOL = 1e-10
@@ -68,14 +68,16 @@ def _radius_coeff(u_a: float, u_d: float, mu: float, mode: ScribeMode) -> float:
     return (u / mu) ** 2
 
 
-def _bracket_cap(mu: float, radius_coeff: float, dx_norm: float,
-                 dv_norm: float) -> float:
+def _bracket_cap(mu: float, radius_coeff: float, dx_norm, dv_norm: float):
     # beyond this time the tangency radius provably exceeds any center
-    # distance the drift can produce, so the last sign change lies inside
+    # distance the drift can produce, so the last sign change lies inside;
+    # an array of dx_norm gives the float calls' caps (_sq is C pow)
     cap = CAP_FACTOR / mu
     if radius_coeff > 0.0:
-        o_max = (dx_norm + dv_norm / mu) ** 2
-        cap = max(cap, 1.0 / mu + math.sqrt((o_max + 1.0) / radius_coeff))
+        o_max = _sq(dx_norm + dv_norm / mu)
+        sqrt, top = (np.sqrt, np.maximum) if isinstance(o_max, np.ndarray) \
+            else (math.sqrt, max)
+        cap = top(cap, 1.0 / mu + sqrt((o_max + 1.0) / radius_coeff))
     return cap
 
 
@@ -519,8 +521,8 @@ def reach_times_many(points, state: PlayerState,
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     dx = pts[:, 0] - state.pos.x
     dy = pts[:, 1] - state.pos.y
-    dist = list(map(math.hypot, dx.tolist(), dy.tolist()))
-    home = np.array(dist) <= 1e-14
+    dist = mapped(math.hypot, dx, dy)
+    home = dist <= 1e-14
     # the phantom problem of reach_times: delta_v = -vel, u_a = 0
     vx, vy = -state.vel.x, -state.vel.y
     mu = params.mu
@@ -531,7 +533,7 @@ def reach_times_many(points, state: PlayerState,
     shared = np.ones(len(far))
     batch = ScribeBatch(mu=mu * shared, dx2=dx2[far], dv2=(vx * vx + vy * vy) * shared,
                         dxdv=(dx * vx + dy * vy)[far], radius_coeff=rc * shared,
-                        cap=np.array([_bracket_cap(mu, rc, dist[i], vn) for i in far]),
+                        cap=_bracket_cap(mu, rc, dist[far], vn) * shared,
                         scale=np.maximum(1.0, dx2[far]))
     times = np.full((len(pts), 3), np.nan)
     times[far] = scribe_times_batch(batch)

@@ -14,9 +14,12 @@ policies and six variants that reach the engine's fallback paths.
 exactly: special1's bundled region map, `classify_point` at the vertices of
 L and of the MRR polygons of special1 and case2 (the only places boundary
 labels occur), region maps of two seeded moving-defender games, the sha256
-of special1's defender MRR polygon and special1's annotated reach-time index
-pairs.  Labels are stored one character each (see LABEL_CODE), a grid as one
-string per row.
+of special1's defender MRR polygon and the matched (attacker, defender)
+reach-time index pairs at special1's annotated L vertices.  The library
+annotates L for the defender only (`_annotate_segment`); the attacker's index
+comes from `vertex_indices` here, the per-vertex rule that the library's
+array pass replaced.  Labels are stored one character each (see LABEL_CODE),
+a grid as one string per row.
 
 `minima.json` holds `boundary_minima` (payoff, sweep time, side and point of
 every candidate, best first), which tests/test_dominance.py compares exactly,
@@ -36,9 +39,12 @@ from conftest import make_cfg, random_player
 from reachavoid import (AttackerPolicy, Control, DefenderPolicy, GameConfig,
                         GameTrace, PlayerParams, PlayerState, RegionLabel,
                         Scenario, Vec2, boundary_minima, capture_boundary,
-                        classify_point, mrr_boundary, region_map, run,
-                        scenario_io)
-from reachavoid.dominance import ANNOTATE_SAMPLES, _annotate_segment
+                        classify_point, mrr_boundary, reach_times_many,
+                        region_map, run, scenario_io)
+from reachavoid.dominance import (ANNOTATE_SAMPLES, BoundarySegment,
+                                  _annotate_segment, arrival_alignment,
+                                  matched_index)
+from reachavoid.dynamics import DomainError, InfeasibleTargetError
 
 GOLDEN = Path(__file__).resolve().parent
 SCENARIOS = GOLDEN.parents[1] / "scenarios"
@@ -149,6 +155,22 @@ def _vertex_codes(cfg: GameConfig) -> str:
                    for x, y in np.vstack(parts).tolist())
 
 
+def vertex_indices(seg: BoundarySegment, state: PlayerState,
+                   params: PlayerParams) -> list[int]:
+    """One player's matched reach-time index at each vertex of `seg`, vertex
+    by vertex: steer_to's arrival alignment (0 where steer_to or
+    arrival_alignment rejects the vertex) picks a double root's slot."""
+    rows = reach_times_many(seg.points, state, params).tolist()
+    out = []
+    for (x, y), t, times in zip(seg.points.tolist(), seg.params.tolist(), rows):
+        try:
+            align = arrival_alignment(state, params, Vec2(x, y), t)
+        except (InfeasibleTargetError, DomainError):
+            align = 0.0
+        out.append(matched_index(times, t, align))
+    return out
+
+
 def label_snapshot() -> dict:
     """The compared content of labels.json, as a JSON-ready dict."""
     doc = scenario_io.load(SCENARIOS / "special1.json")
@@ -165,8 +187,10 @@ def label_snapshot() -> dict:
         "maps": maps,
         "vertices": {"special1": _vertex_codes(s1), "case2": _vertex_codes(case2)},
         "special1_defender_mrr_sha256": hashlib.sha256(poly.tobytes()).hexdigest(),
-        "special1_pair_indices": [_annotate_segment(s1, seg).tolist()
-                                  for seg in segments],
+        "special1_pair_indices": [
+            np.column_stack([vertex_indices(seg, s1.attacker, s1.attacker_params),
+                             _annotate_segment(s1, seg)]).tolist()
+            for seg in segments],
     }
 
 

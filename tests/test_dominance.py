@@ -8,15 +8,19 @@ import pytest
 from reachavoid import (Control, InfeasibleTargetError, PlayerParams,
                         PlayerState, R3Condition, RegionLabel, Vec2,
                         boundary_minima, capture_boundary, classify_point,
-                        propagate, r3_certificates, reach_times, region_map,
-                        steer_to, tangency_windows)
+                        mrr_boundary, propagate, r3_certificates, reach_times,
+                        reach_times_many, region_map, steer_to,
+                        tangency_windows)
 from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, SAFETY_SAMPLES,
-                                  _active_intervals, _annotate_segment,
+                                  BoundarySegment,
+                                  _active_intervals, _alignment,
+                                  _annotate_segment,
                                   _dip_candidates, _l_point,
                                   arrival_alignment,
                                   clearance_at, intersection_points,
                                   matched_index, run_times,
                                   safe_straight_run, straight_runs)
+from reachavoid.dynamics import steer_controls
 from reachavoid.geometry import point_in_polygon
 
 from conftest import make_cfg, random_player
@@ -169,7 +173,6 @@ class TestOrderFlip:
     def test_reach_time_order_differs_across_the_boundary(self, case2):
         # matched reach times swap order between the two sides of L
         seg = capture_boundary(case2, ANNOTATE_SAMPLES).segments[0]
-        pairs = _annotate_segment(case2, seg)
         eps = 1e-4
         checked = 0
         for i in range(2, len(seg) - 2, max(1, len(seg) // 25)):
@@ -202,12 +205,61 @@ class TestOrderFlip:
 class TestMatchedIndex:
     def test_indices_along_annotated_boundary(self, special1):
         cb = capture_boundary(special1, ANNOTATE_SAMPLES)
-        pairs = [_annotate_segment(special1, seg) for seg in cb.segments]
-        ks = np.concatenate([p[:, 1] for p in pairs])
-        js = np.concatenate([p[:, 0] for p in pairs])
+        ks = np.concatenate([_annotate_segment(special1, seg) for seg in cb.segments])
         # the defender's middle-time piece exists in this geometry
         assert (ks == 2).sum() > 50
-        assert set(np.unique(js)).issubset({0, 1, 2, 3})
+        assert set(np.unique(ks)).issubset({0, 1, 2, 3})
+
+    def test_array_alignment_equals_float_calls(self, special1):
+        # the defender's arrival alignment at L vertices and at random
+        # targets and times, some of which steer_to rejects
+        rng = np.random.default_rng(41)
+        st, par = special1.defender, special1.defender_params
+        seg = capture_boundary(special1, ANNOTATE_SAMPLES).segments[0]
+        x, y = np.concatenate([seg.points, rng.uniform(-1.5, 1.5, (500, 2))]).T
+        t = np.concatenate([seg.params, rng.uniform(1e-3, 3.0, 500)])
+        u, theta, _, _ = steer_controls(st, par, x, y, t)
+        align = _alignment(st, par, u, theta, t)
+        # propagate's terminal velocity along the heading, on floats
+        ref = []
+        for xi, yi, ti in zip(x.tolist(), y.tolist(), t.tolist()):
+            try:
+                ctrl = steer_to(st, par, Vec2(xi, yi), ti)
+            except InfeasibleTargetError:
+                ref.append(None)
+                continue
+            ref.append(propagate(st, par, ctrl, ti).vel.dot(ctrl.heading()))
+            assert arrival_alignment(st, par, Vec2(xi, yi), ti) == ref[-1]
+        ok = np.array([a is not None for a in ref])
+        assert len(seg) < ok.sum() < len(ok)
+        assert align[ok].tolist() == [a for a in ref if a is not None]
+
+    @pytest.mark.parametrize("game", ["special1", "case2", "seed37", "seed77"])
+    def test_array_annotation_equals_per_vertex_rule(self, game, request):
+        cfg = (record._seeded_game(int(game[4:]))[0] if game.startswith("seed")
+               else request.getfixturevalue(game))
+        st, par = cfg.defender, cfg.defender_params
+        segments = list(capture_boundary(cfg, ANNOTATE_SAMPLES).segments)
+        # extra vertices that steer_to rejects: a far point, and points of the
+        # defender's MRR boundary 30% of the way from their first reach time
+        # to their last, where the alignment picks a double root's slot
+        ring = mrr_boundary(st, par).polygon()[::16]
+        rows = reach_times_many(ring, st, par)[:, [0, 2]]
+        three = ~np.isnan(rows[:, 1])
+        pts = np.vstack([ring[three], [[40.0, -30.0]]])
+        ts = np.append(rows[three] @ [0.7, 0.3], 1.0)
+        segments.append(BoundarySegment(0.0, 0.0, pts, ts, np.ones(len(ts))))
+        rejected = 0
+        for (x, y), t in zip(pts.tolist(), ts.tolist()):
+            try:
+                steer_to(st, par, Vec2(x, y), t)
+            except InfeasibleTargetError:
+                rejected += 1
+        assert rejected >= 2
+        for seg in segments:
+            index = _annotate_segment(cfg, seg)
+            assert index.shape == (len(seg),)
+            assert index.tolist() == record.vertex_indices(seg, st, par)
 
     def test_alignment_disambiguates_double_roots(self, params):
         st = PlayerState(Vec2(0, 0), Vec2(1, 0))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -10,6 +11,8 @@ from reachavoid.cli import main
 from reachavoid.scenario_io import (SchemaError, dumps, load, loads,
                                     regions_to_csv, trace_to_csv)
 from reachavoid.svgplot import SvgCanvas, _f
+
+from golden import record
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -318,3 +321,31 @@ class TestSilence:
                        "--out", str(tmp_path)])
         assert rc == 0
         assert capfd.readouterr().err == ""
+
+
+class TestPinnedDigests:
+    """sha256 digests recorded with the per-vertex annotation of L and the
+    per-point bracket caps, which the array passes replaced bit for bit."""
+
+    @pytest.mark.parametrize("game, digest", [
+        ("special1", "a70e9de92f5760c959fc662e6c242c7626ab45de44fb8037cfb65a7c01a0c4c6"),
+        ("seed37", "6128801713cf25d28414a09c2c7bbd0b1665876831bf843f8d78473b6aaeb448"),
+        ("seed77", "8c508c49b30f87c0072348521b8092164f13c8d7c1c3739159d2bbde171e94b5"),
+    ])
+    def test_r3_certificate_polygons(self, game, digest):
+        cfg = (record._seeded_game(int(game[4:]))[0] if game.startswith("seed")
+               else load(SCENARIOS / f"{game}.json").scenario.cfg)
+        h = hashlib.sha256()
+        for comp in r3_certificates(cfg):
+            h.update(comp.condition.value.encode())
+            h.update(comp.polygon.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_special1_regions_files(self, tmp_path, capsys):
+        assert main(["regions", str(SCENARIOS / "special1.json"),
+                     "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("regions.csv", "regions.svg")}
+        assert digests == {
+            "regions.csv": "1ad1502f7057aef6cff04ef3462d56374b4f7c9091655012f72c4799a8a2182d",
+            "regions.svg": "cc0c8d5aee80cdf764f00288cfd4bf32e6d1cad8f9fcf936f1fa519ced9c3199"}

@@ -387,6 +387,35 @@ class TestBatch:
             assert ref[17].times[0] == 0.0
             assert_rows_equal(times, ref)
 
+    def test_array_caps_equal_float_calls(self):
+        rng = np.random.default_rng(29)
+        dist = np.concatenate([[0.0, 1e-14, 1e3], 10.0 ** rng.uniform(-15.0, 4.0, 10000),
+                               rng.uniform(0.0, 1e3, 10000)])
+        # rc = 0, and rc > 0 with the square root above CAP_FACTOR / mu or not
+        for mu, rc, dv_norm in ((1.0, 0.0, 0.8), (0.37, 0.0, 0.0), (1.0, 1.0, 0.0),
+                                (0.37, (2.0 / 0.37) ** 2, 0.8), (2.5, 1e-4, 3.1)):
+            caps = scribe._bracket_cap(mu, rc, dist, dv_norm)
+            ref = [scribe._bracket_cap(mu, rc, d, dv_norm) for d in dist.tolist()]
+            assert all(type(c) is float for c in ref)
+            assert np.array_equal(np.broadcast_to(caps, dist.shape), ref)
+
+    def test_reach_times_many_caps_equal_scribe_problem(self, params, monkeypatch):
+        batches = []
+        solve = scribe.scribe_times_batch
+        monkeypatch.setattr(scribe, "scribe_times_batch",
+                            lambda batch: batches.append(batch) or solve(batch))
+        rng = np.random.default_rng(31)
+        st = random_player(rng, 1.0, 1.0, min_speed=0.3)
+        pts = np.concatenate([rng.uniform(-2.5, 2.5, (200, 2)),
+                              [[st.pos.x, st.pos.y], [st.pos.x + 1e-3, st.pos.y]]])
+        scribe.reach_times_many(pts, st, params)
+        # the player's own position (row 200) takes the t = 0 branch instead
+        ref = [ScribeProblem(delta_x=Vec2(*p) - st.pos, delta_v=-st.vel, mu=params.mu,
+                             u_a=0.0, u_d=params.u_max).cap
+               for i, p in enumerate(pts.tolist()) if i != 200]
+        assert len(batches) == 1
+        assert np.array_equal(batches[0].cap, ref)
+
 
 class TestRootSetValidation:
     def test_mismatched_lengths_rejected(self):
