@@ -312,13 +312,13 @@ class BoundaryMinimum:
 
 
 def _dip_candidates(dist: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Indices of the valid samples that are no farther than either
-    neighbour (inf beyond the ends), and of valid end samples, ascending."""
-    padded = np.concatenate(([np.inf], dist, [np.inf]))
-    interior_min = (dist <= padded[:-2]) & (dist <= padded[2:])
-    edge = np.zeros(len(dist), dtype=bool)
-    edge[[0, -1]] = True
-    return np.flatnonzero(valid & (interior_min | edge))
+    """Mask of the valid samples along the last axis of `dist` no farther than
+    either neighbour (inf beyond the ends), and of valid end samples."""
+    inf = np.full((*dist.shape[:-1], 1), np.inf)
+    padded = np.concatenate((inf, dist, inf), axis=-1)
+    keep = valid & (dist <= padded[..., :-2]) & (dist <= padded[..., 2:])
+    keep[..., [0, -1]] = valid[[0, -1]]
+    return keep
 
 
 def boundary_minima(cfg: GameConfig, samples: int = 512) -> list[BoundaryMinimum]:
@@ -333,37 +333,44 @@ def boundary_minima(cfg: GameConfig, samples: int = 512) -> list[BoundaryMinimum
     polar angle of the point, which keeps the selection deterministic when
     the boundary has symmetric or near-tied dips.
     """
+    if samples < 2:
+        raise ValueError("need at least two sweep samples")
     tx, ty = cfg.target.x, cfg.target.y
     _, _, intervals = _active_intervals(cfg)
-    found: list[BoundaryMinimum] = []
+    # candidates as (payoff, t, side, x, y) floats; a sample's point is its
+    # row of intersection_points, which _l_point gives bit for bit
+    found: list[tuple[float, ...]] = []
     for a, b in intervals:
         ts = np.linspace(a, b, samples)
         plus, minus, valid = intersection_points(cfg, ts)
-        ts = ts.tolist()
-        for side, pts in ((1.0, plus), (-1.0, minus)):
-            dist = np.hypot(pts[:, 0] - tx, pts[:, 1] - ty)
-            dist = np.where(valid, dist, np.inf)
+        pts = np.stack([plus, minus])
+        dist = np.where(valid, np.hypot(pts[..., 0] - tx, pts[..., 1] - ty), np.inf)
+        last = len(ts) - 1
+        for side, rows, keep in zip((1.0, -1.0), pts, _dip_candidates(dist, valid)):
             point = _l_point(cfg, side)
 
-            def dip(t: float) -> BoundaryMinimum:
-                x, y, _, _ = point(t)
-                return BoundaryMinimum(math.hypot(x - tx, y - ty), t, side, Vec2(x, y))
+            def dip(t: float, x: float, y: float) -> tuple[float, ...]:
+                return math.hypot(x - tx, y - ty), t, side, x, y
 
-            found += [dip(a), dip(b)]
-            for i in _dip_candidates(dist, valid):
-                lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
-                rises = point(lo)[3] < 0.0
-                t_star = find_zero(lambda t: point(t)[3], lo, hi) if rises else None
+            def sample(i: int) -> tuple[float, ...]:
+                return dip(float(ts[i]), *rows[i].tolist())
+
+            found += [sample(0), sample(last)]
+            for i in np.flatnonzero(keep).tolist():
+                lo, hi = max(i - 1, 0), min(i + 1, last)
+                t_lo, t_hi = float(ts[lo]), float(ts[hi])
+                rises = point(t_lo)[3] < 0.0
+                t_star = find_zero(lambda t: point(t)[3], t_lo, t_hi) if rises else None
                 if t_star is not None:
-                    found.append(dip(t_star))
-                elif 0 < i < len(ts) - 1:
-                    found.append(min(dip(lo), dip(hi), key=lambda m: m.payoff))
-    found.sort(key=lambda m: (round(m.payoff / 1e-9), m.t, m.point.angle()))
-    deduped: list[BoundaryMinimum] = []
+                    found.append(dip(t_star, *point(t_star)[:2]))
+                elif 0 < i < last:
+                    found.append(min(sample(lo), sample(hi), key=lambda m: m[0]))
+    found.sort(key=lambda m: (round(m[0] / 1e-9), m[1], math.atan2(m[4], m[3])))
+    deduped: list[tuple[float, ...]] = []
     for m in found:
-        if all((m.point - d.point).norm() > 1e-7 for d in deduped):
+        if all(math.hypot(m[3] - d[3], m[4] - d[4]) > 1e-7 for d in deduped):
             deduped.append(m)
-    return deduped
+    return [BoundaryMinimum(p, t, side, Vec2(x, y)) for p, t, side, x, y in deduped]
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +583,15 @@ def safe_straight_run(cfg: GameConfig, point: Vec2,
     return None
 
 
-def _reach_rows(cfg: GameConfig, point: Vec2) -> np.ndarray:
-    """The attacker's and the defender's reach times at `point`: a (2, 3)
-    array of expanded times padded with nan, as reach_times_many gives them."""
+def _reach_rows(cfg: GameConfig, point: Vec2, times=None) -> np.ndarray:
+    """The attacker's and the defender's reach times at `point` (`times`, if
+    already solved): a (2, 3) array of expanded times padded with nan, as
+    reach_times_many gives them."""
     rows = np.full((2, 3), np.nan)
-    for row, state, params in ((rows[0], cfg.attacker, cfg.attacker_params),
-                               (rows[1], cfg.defender, cfg.defender_params)):
-        times = reach_times(point, state, params).expanded()
-        row[:len(times)] = times
+    for i, (state, params) in enumerate(((cfg.attacker, cfg.attacker_params),
+                                         (cfg.defender, cfg.defender_params))):
+        row = times[i] if times else reach_times(point, state, params).expanded()
+        rows[i, :len(row)] = row
     return rows
 
 
@@ -604,11 +612,12 @@ def _race(ea, ed):
     return tol, [(t < first) | ((gap_lo < t) & (t < gap_hi)) for t in ea]
 
 
-def race(cfg: GameConfig, point: Vec2) -> list[float]:
+def race(cfg: GameConfig, point: Vec2, times=None) -> list[float]:
     """The attacker's winning reach times at `point`.  An attacker time wins
     before the defender's first arrival or inside the defender's gap
-    (t_D2, t_D3), when the defender cannot be there."""
-    ea, ed = _reach_rows(cfg, point).tolist()
+    (t_D2, t_D3), when the defender cannot be there.  `times` are both
+    players' expanded reach times at `point`, if already solved."""
+    ea, ed = _reach_rows(cfg, point, times).tolist()
     _, wins = _race(ea, ed)
     return [t for t, w in zip(ea, wins) if w]
 

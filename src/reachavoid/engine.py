@@ -2,8 +2,10 @@
 
 Each step both policies map the full current state to a control (complete
 information), the states advance by the exact closed-form propagation over one
-step, and the terminal conditions are checked.  Because propagation within a
-step is exact, the step size only sets the replanning cadence, not any
+step, and the terminal conditions are checked.  Each step makes its solves
+once for both players (`_Step`): the players' reach times at the target and
+the equal-time plan, or a failed plan's exception.  Because propagation within
+a step is exact, the step size only sets the replanning cadence, not any
 integration error.  Terminal events (capture ball, target ball) are refined by
 bisection inside the step so reported event times are comparable across step
 sizes; detection also subsamples each step so brief closest approaches are not
@@ -15,6 +17,7 @@ import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,6 +26,7 @@ from .dynamics import (Control, InfeasibleTargetError, PlayerState,
                        damped_time, path_xy, propagate, steer_to)
 from .dominance import GameConfig
 from .geometry import Vec2
+from .scribe import reach_times
 from .strategies import (AttackerWinsError, PLAN_SWITCH_MARGIN, TerminalPlan,
                          best_r3_point, can_reach_target, choose_plan,
                          first_unsafe_crossing, pure_pursuit)
@@ -177,12 +181,31 @@ class GameTrace:
 PLAN_JUMP_DIST = 0.02
 
 
+class _Step:
+    """One step's solves, each made at most once, when a policy first needs
+    it: both players' expanded reach times at the target, and the equal-time
+    plan or the exception of a failed plan, which both players share."""
+
+    def __init__(self, cfg: GameConfig):
+        self.cfg, self.plan, self.failure = cfg, None, None
+
+    @cached_property
+    def attacker_times(self) -> list[float]:
+        cfg = self.cfg
+        return reach_times(cfg.target, cfg.attacker, cfg.attacker_params).expanded()
+
+    @cached_property
+    def defender_times(self) -> list[float]:
+        cfg = self.cfg
+        return reach_times(cfg.target, cfg.defender, cfg.defender_params).expanded()
+
+
 @dataclass
 class _PlanTracker:
     """Per-run state shared by the policies of both players."""
 
     point: Optional[Vec2] = None
-    plan: Optional[TerminalPlan] = None
+    step: Optional[_Step] = None
     mrr_target: Optional[tuple[Vec2, float]] = None
     mrr_failed: bool = False
     # last applied heading per player, kept by pure pursuit at a standstill
@@ -195,15 +218,23 @@ class _PlanTracker:
 
 def _plan(cfg: GameConfig, sc: Scenario, t: float,
           tracker: _PlanTracker) -> TerminalPlan:
-    """This step's equal-time plan, computed once and shared by both players."""
-    if tracker.plan is None:
-        plan = choose_plan(cfg, tracker.point, switch_margin=sc.plan_switch_margin)
+    """This step's equal-time plan, computed once and shared by both players;
+    a failed plan raises its exception again for the second player."""
+    step = tracker.step
+    if step.plan is None and step.failure is None:
+        try:
+            plan = choose_plan(cfg, tracker.point, sc.plan_switch_margin,
+                               (step.attacker_times, step.defender_times))
+        except (AttackerWinsError, InfeasibleTargetError) as exc:
+            step.failure = exc
+            raise
         if tracker.point is not None \
                 and (plan.point - tracker.point).norm() > PLAN_JUMP_DIST:
             tracker.switches.append((t, plan.point))
-        tracker.point = plan.point
-        tracker.plan = plan
-    return tracker.plan
+        tracker.point, step.plan = plan.point, plan
+    if step.failure is not None:
+        raise step.failure
+    return step.plan
 
 
 # Policies map (cfg, scenario, t, tracker[, attacker control]) to a control,
@@ -248,7 +279,7 @@ def _attacker_region(cfg, sc, t, tracker) -> Optional[Control]:
 def _target_run_first(policy):
     """Grab the target outright once a safe straight run exists (state feedback)."""
     def target_or_policy(cfg, sc, t, tracker) -> Optional[Control]:
-        direct = can_reach_target(cfg)
+        direct = can_reach_target(cfg, tracker.step.attacker_times)
         if direct is None:
             tracker.target_mode = False
             return policy(cfg, sc, t, tracker)
@@ -283,7 +314,7 @@ def _defender_intercept(cfg, sc, t, tracker, attacker_ctrl) -> Optional[Control]
     crossing = first_unsafe_crossing(cfg, attacker_ctrl, horizon)
     if crossing is None:
         # no interceptable stretch: behave like the equal-time plan
-        return None if tracker.plan is None else tracker.plan.defender_ctrl
+        return None if tracker.step.plan is None else tracker.step.plan.defender_ctrl
     point, tau = crossing
     try:
         return steer_to(cfg.defender, cfg.defender_params, point, tau)
@@ -384,7 +415,7 @@ def run(sc: Scenario) -> GameTrace:
     kind = OutcomeKind.TIMEOUT
     while kind is OutcomeKind.TIMEOUT and t < sc.horizon - 1e-12:
         step_cfg = replace(cfg, attacker=a, defender=d)
-        tracker.plan = None
+        tracker.step = _Step(step_cfg)
         ctrl_a = _act("attacker", _ATTACKER_POLICIES[sc.attacker_policy],
                       step_cfg, sc, t, tracker)
         ctrl_d = _act("defender", _DEFENDER_POLICIES[sc.defender_policy],

@@ -102,9 +102,10 @@ def costate_record(cfg: GameConfig, plan: TerminalPlan, t: Optional[float] = Non
     )
 
 
-def target_in_adr(cfg: GameConfig) -> bool:
-    """True when the attacker out-races the defender to the target itself."""
-    return bool(race(cfg, cfg.target))
+def target_in_adr(cfg: GameConfig, times=None) -> bool:
+    """True when the attacker out-races the defender to the target itself.
+    `times` are both players' expanded reach times there, if already solved."""
+    return bool(race(cfg, cfg.target, times))
 
 
 def plan_for_point(cfg: GameConfig, point: Vec2, t_f: float,
@@ -224,15 +225,17 @@ def apollonius_plan(cfg: GameConfig) -> TerminalPlan:
     return plan_for_point(cfg, point, t_f)
 
 
-def can_reach_target(cfg: GameConfig) -> Optional[Control]:
+def can_reach_target(cfg: GameConfig, times=None) -> Optional[Control]:
     """Saturated constant-heading run to the target that is never interceptable.
 
-    Tries each arrival time of the target in increasing order and returns the
-    first control whose whole path stays clear of the defender's reachable
-    disc; None when no such run exists yet.
+    Tries each arrival time of the target in increasing order (`times`, the
+    attacker's expanded reach times there, solved here if not given) and
+    returns the first control whose whole path stays clear of the defender's
+    reachable disc; None when no such run exists yet.
     """
-    roots = reach_times(cfg.target, cfg.attacker, cfg.attacker_params)
-    return safe_straight_run(cfg, cfg.target, roots.expanded())
+    if times is None:
+        times = reach_times(cfg.target, cfg.attacker, cfg.attacker_params).expanded()
+    return safe_straight_run(cfg, cfg.target, times)
 
 
 def first_unsafe_crossing(cfg: GameConfig, ctrl: Control,
@@ -299,23 +302,25 @@ def best_r3_point(cfg: GameConfig) -> Optional[tuple[Vec2, float, Control]]:
 
 
 def choose_plan(cfg: GameConfig, previous: Optional[Vec2],
-                switch_margin: float = PLAN_SWITCH_MARGIN) -> TerminalPlan:
+                switch_margin: float = PLAN_SWITCH_MARGIN,
+                target_times=None) -> TerminalPlan:
     """Replanning rule with hysteresis against dip hopping.
 
     Near-tied dips of the boundary payoff otherwise alternate as the argmin
     under closed-loop replanning, chattering the heading every step.  The rule
     keeps tracking the dip nearest the previous plan point and jumps to the
-    global best only when it improves by `switch_margin`.
+    global best only when it improves by `switch_margin`.  `target_times`,
+    both players' expanded reach times at the target, skips their solves.
     """
-    chosen = _select_minimum(cfg, previous, switch_margin)
+    chosen = _select_minimum(cfg, previous, switch_margin, target_times)
     return plan_for_point(cfg, chosen.point, chosen.t, check_h=False)
 
 
 def _select_minimum(cfg: GameConfig, previous: Optional[Vec2],
-                    switch_margin: float) -> BoundaryMinimum:
+                    switch_margin: float, target_times=None) -> BoundaryMinimum:
     """The boundary dip to plan for: the one nearest `previous`, unless the
     best dip beats it by `switch_margin`.  Raises as `strategy_one` does."""
-    if target_in_adr(cfg):
+    if target_in_adr(cfg, target_times):
         raise AttackerWinsError(
             "target is attacker-dominated; steer for the target instead")
     minima = boundary_minima(cfg)

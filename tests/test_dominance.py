@@ -120,8 +120,11 @@ class TestIntersectionPoint:
         for n in [1, 2, 3] * 20 + [8, 17, 512] * 40:
             # small integers: ties between neighbours are common
             valid = rng.random(n) < 0.8
-            dist = np.where(valid, rng.integers(0, 4, n).astype(float), np.inf)
-            assert _dip_candidates(dist, valid).tolist() == loop(dist, valid)
+            dists = np.where(valid, rng.integers(0, 4, (2, n)).astype(float), np.inf)
+            # each row of a stacked pair as on its own
+            for dist, keep in zip(dists, _dip_candidates(dists, valid)):
+                assert np.flatnonzero(keep).tolist() == loop(dist, valid)
+                assert np.array_equal(_dip_candidates(dist, valid), keep)
 
 
 class TestCaptureBoundary:
@@ -486,6 +489,20 @@ def test_boundary_minima_match_golden():
     """Recorded by tests/golden/record.py, compared exactly."""
     golden = json.loads((record.GOLDEN / "minima.json").read_text())
     assert record.minima_snapshot() == golden
+
+
+def test_boundary_minima_order_mirror_ties_by_polar_angle():
+    # players, velocities and target on the x axis: L is symmetric about it,
+    # so a dip off the axis has a mirror image at the same sweep time and
+    # payoff, and the one at the smaller polar angle comes first
+    cfg = make_cfg((-1.0, 0.0), (0.5, 0.0), (-2.5, 0.0), (0.0, 0.0))
+    minima = boundary_minima(cfg)
+    pairs = [(m, n) for m, n in zip(minima, minima[1:])
+             if (m.t, m.payoff) == (n.t, n.payoff)]
+    assert len(pairs) >= 2
+    for m, n in pairs:
+        assert (m.point.x, -m.point.y) == (n.point.x, n.point.y) and m.point.y < 0.0
+        assert m.point.angle() < n.point.angle()
 
 
 # digits of the dip oracle, its window around each reported dip, and the

@@ -1,6 +1,10 @@
 import gc
+import hashlib
 import math
+import random
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -229,3 +233,148 @@ class TestTraceRows:
             tracemalloc.stop()
         assert rows == 93
         assert freed / rows <= 400
+
+
+# random_games' policy pairs: equilibrium play and the three deviations
+POLICY_PAIRS = ((AttackerPolicy.STRATEGY_I, DefenderPolicy.STRATEGY_I),
+                (AttackerPolicy.PURE_PURSUIT, DefenderPolicy.STRATEGY_I),
+                (AttackerPolicy.STRATEGY_I, DefenderPolicy.PURE_PURSUIT),
+                (AttackerPolicy.STRATEGY_I, DefenderPolicy.INTERCEPT_R3))
+
+
+def random_games(seed: int, count: int) -> list[Scenario]:
+    """Games of the fuzz distribution: mu in [0.5, 2], u_D/u_A in [1.2, 3],
+    attacker 1 to 3 and defender 0.5 to 3 from the target, speeds below 0.9
+    of the cap, headings uniform; dt 0.05 to t = 4.  The policy pair cycles
+    through POLICY_PAIRS with the index."""
+    rng = random.Random(seed)
+
+    def polar(r: float, angle: float) -> tuple[float, float]:
+        return r * math.cos(angle), r * math.sin(angle)
+
+    games = []
+    for i in range(count):
+        u = [rng.random() for _ in range(10)]
+        mu, u_d = 0.5 + 1.5 * u[0], 1.2 + 1.8 * u[1]
+        cfg = make_cfg(polar(1.0 + 2.0 * u[2], 2 * math.pi * u[3]),
+                       polar(0.9 * u[6] / mu, 2 * math.pi * u[7]),
+                       polar(0.5 + 2.5 * u[4], 2 * math.pi * u[5]),
+                       polar(0.9 * u[8] * u_d / mu, 2 * math.pi * u[9]),
+                       u_d=u_d, mu=mu)
+        atk, dfd = POLICY_PAIRS[i % len(POLICY_PAIRS)]
+        games.append(Scenario(cfg=cfg, attacker_policy=atk, defender_policy=dfd,
+                              dt=0.05, t_max=4.0))
+    return games
+
+
+def game_digest(trace) -> str:
+    """sha256 of a trace's row floats, notes and outcome."""
+    h = hashlib.sha256(trace.rows.array.tobytes())
+    h.update(repr((trace.notes, trace.outcome)).encode())
+    return h.hexdigest()
+
+
+class TestRandomGameDigests:
+    """Seed-1 random games pinned bit for bit; no golden holds a random game.
+
+    A change that keeps the engine's behaviour keeps these digests.  An
+    intended change of behaviour that moves the golden traces (the
+    containment-time cut in the race and the certified terminal-event
+    detection, ROADMAP items 1 and 12) records them again along with the
+    goldens, and CHANGES.md says so.
+    """
+
+    GAMES = random_games(1, 21)
+    # (outcome, digest); games 0-15 cover all four policy pairs, target runs
+    # and plan-failed notes, game 20 is an R_II stalemate that times out
+    DIGESTS = {
+        0: ("target_reached",
+            "c703e7e50ed84229457e13dbe8595581996ac773c56fd6313179629372348f5f"),
+        1: ("captured",
+            "45e611acb0a05cad4c8fdd500ee582150c42681af746c9fc8289b57745fbf086"),
+        2: ("target_reached",
+            "8e488003301eec2c6492217e1b1507f1c4d0a321e975365e85d71a48a08be7d0"),
+        3: ("captured",
+            "718d44078203bd564ddc3705f3bde478b2ca07219af7ea3790f2b752376ce1eb"),
+        4: ("target_reached",
+            "f5629884c172739c243ebb8f2e0f2aa11d5db9d4d902ba6f783cd25438e16e0d"),
+        5: ("target_reached",
+            "64c610c21c6546d8e616346c612dcd6e175fde4a3be60b3db892f419c7638153"),
+        6: ("target_reached",
+            "534bfd2eab7ecfc4a58a2baec81ee19476f19c4dbb520f24e162a16d5e25a89b"),
+        7: ("target_reached",
+            "e64c6d9497d88f64096ed6defbf52adcf4b36ccbe66184955e71fcf669346751"),
+        8: ("captured",
+            "95fd6e46657997d5305a688a4c9c4b23f323011f3d26d08a5a70ae3ecc33b6dc"),
+        9: ("captured",
+            "51c2c4efd3f9fc2461e20d36e1dce187d22e5992e54511956594f4c166188612"),
+        10: ("target_reached",
+            "5f0260ff5d337c3f4747c673b4406766922aeb9845fa449e9553cf3be9ec4944"),
+        11: ("captured",
+            "c17d9ab45ca0a22234a933032e5e8c6f284ac75f86d0b5341b9a3729c3c2e46c"),
+        12: ("target_reached",
+            "cd5f8657ea5a043a5437ff3a15430977957dea43c3a12dc9f2b3fe97ee60bc2d"),
+        13: ("captured",
+            "fc41432d672d4a07c760306ab05203cc1f8cb3b4d72fca64d93058fdee874953"),
+        14: ("target_reached",
+            "f5a0ada57d4d54827ca712816705a5ad2e6153183e4e53e3e9ee2c0634c042c5"),
+        15: ("captured",
+            "6fa741ff54859e0fc9267823e049ad0d3d1388d50fef5239e0a9cfdb9807b468"),
+        20: ("timeout",
+            "c5a28079878bd446eca648c8ff4a59b3cb7596d555f0a20b48f45b95bf66c83c"),
+    }
+
+    @pytest.mark.parametrize("i", sorted(DIGESTS))
+    def test_game_is_bit_identical(self, i):
+        trace = run(self.GAMES[i])
+        assert (trace.outcome.kind.value, game_digest(trace)) == self.DIGESTS[i]
+
+
+class TestOneStepOneSolve:
+    """A step solves each player's reach times at the target at most once,
+    and plans at most once: a plan that fails for the attacker fails for the
+    defender without a second solve."""
+
+    def counted_run(self, monkeypatch, sc):
+        """The game's trace, with per step (keyed by the step's players) the
+        reach-time solves at the target, per player, and the plan calls."""
+        import reachavoid.scribe
+        import reachavoid.strategies
+        solves, plans = Counter(), Counter()
+        originals = (reachavoid.scribe.reach_times,
+                     reachavoid.strategies.choose_plan)
+
+        def reach_times(point, state, params):
+            if point == sc.cfg.target:
+                solves[state, params] += 1
+            return originals[0](point, state, params)
+
+        def choose_plan(cfg, *args, **kwargs):
+            plans[cfg.attacker, cfg.defender] += 1
+            return originals[1](cfg, *args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("reachavoid"):
+                for attr, val in list(vars(mod).items()):
+                    for orig, wrapper in zip(originals, (reach_times, choose_plan)):
+                        if val is orig:
+                            monkeypatch.setattr(mod, attr, wrapper)
+        return run(sc), solves, plans
+
+    def test_case3_plan_fails_once_per_step(self, monkeypatch, case3):
+        trace, solves, plans = self.counted_run(monkeypatch, Scenario(cfg=case3))
+        failed = [n for n in trace.notes if "plan failed" in n]
+        # both players fall back from t = 0.8, one note each per step
+        assert len(failed) >= 4 and failed[0].startswith("t=0.800000 attacker")
+        assert len(plans) == len(trace.rows) - 1
+        assert set(plans.values()) == {1}
+        assert solves and set(solves.values()) == {1}
+
+    def test_intercept_game_solves_once_per_step(self, monkeypatch):
+        sc = random_games(1, 4)[3]
+        assert sc.defender_policy is DefenderPolicy.INTERCEPT_R3
+        trace, solves, plans = self.counted_run(monkeypatch, sc)
+        assert any("plan failed" in n for n in trace.notes)
+        assert len(plans) == len(trace.rows) - 1
+        assert set(plans.values()) == {1}
+        assert solves and set(solves.values()) == {1}
