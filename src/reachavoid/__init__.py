@@ -21,7 +21,7 @@ from .mrr import (Branch, MrrBoundary, ReachClassification, ReachKind,
                   barrier_time, boundary_point, classify, cusp_time,
                   mrr_boundary)
 from .scribe import (RootSet, ScribeBatch, ScribeMode, ScribeProblem,
-                     find_zero, gap, reach_times, reach_times_many,
+                     find_zero, first_zero, gap, reach_times, reach_times_many,
                      scribe_times, scribe_times_batch)
 from .strategies import (AttackerWinsError, CostateRecord, TerminalPlan,
                          apollonius_circle, apollonius_plan, best_r3_point,
@@ -39,10 +39,10 @@ __all__ = [
     "PlayerState", "R3Component", "R3Condition", "ReachClassification",
     "ReachKind", "RegionLabel", "RootSet", "Scenario", "ScribeBatch",
     "ScribeMode", "ScribeProblem", "TerminalPlan", "TraceRow", "Vec2",
-    "apollonius_circle", "apollonius_plan", "barrier_time",
-    "best_r3_point", "boundary_minima", "boundary_point",
-    "can_reach_target", "capture_boundary", "choose_plan", "classify",
-    "classify_point", "costate_record", "cusp_time", "find_zero", "gap",
+    "apollonius_circle", "apollonius_plan", "barrier_time", "best_r3_point",
+    "boundary_minima", "boundary_point", "can_reach_target",
+    "capture_boundary", "choose_plan", "classify", "classify_point",
+    "costate_record", "cusp_time", "find_zero", "first_zero", "gap",
     "hamiltonian_check", "isochron", "mrr_boundary", "plan_for_point",
     "propagate", "pure_pursuit", "r3_certificates", "reach_times",
     "reach_times_many", "region_map", "run", "scribe_times",

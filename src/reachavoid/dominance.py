@@ -45,7 +45,7 @@ from .dynamics import (BOUNDARY_SLACK, Control, DomainError,
 from .geometry import Vec2, mapped, point_in_polygon, polygon_area, wrap_angle
 from .mrr import CLASSIFY_TOL, merge_roots, mrr_boundary
 from .scribe import (RootSet, ScribeMode, ScribeProblem, find_zero,
-                     reach_times, reach_times_many, scribe_times)
+                     first_zero, reach_times, reach_times_many, scribe_times)
 
 # default number of sweep samples along the full tangency window
 SWEEP_SAMPLES = 2048
@@ -59,6 +59,8 @@ CROSSING_SAMPLES = 800
 CROSSING_BAND = 1e-9
 # straight runs evaluated together; bounds the (runs, SAFETY_SAMPLES) arrays
 RUN_CHUNK = 128
+# relative slack of GameConfig's speed check; the margins' slope bounds carry it
+SPEED_SLACK = 1e-9
 
 
 class RegionLabel(enum.Enum):
@@ -91,7 +93,7 @@ class GameConfig:
             raise ValueError("the defender must out-accelerate the attacker")
         for name, st, par in (("attacker", self.attacker, self.attacker_params),
                               ("defender", self.defender, self.defender_params)):
-            if st.vel.norm() > par.speed_cap * (1.0 + 1e-9):
+            if st.vel.norm() > par.speed_cap * (1.0 + SPEED_SLACK):
                 raise ValueError(f"{name} initial speed exceeds u_max/mu")
         if (self.attacker.pos - self.defender.pos).norm() == 0.0:
             raise ValueError("players must start at distinct positions")
@@ -532,53 +534,46 @@ def run_times(t_end: np.ndarray) -> np.ndarray:
     return ts
 
 
-def _run_clearance(cfg: GameConfig, runs: np.ndarray) -> np.ndarray:
-    """Sampled minimum clearances of the attacker's straight runs, one per
-    row (u/mu, heading cosine, heading sine, arrival time), RUN_CHUNK rows at
-    a time; each run's result does not depend on the others."""
-    clearance = np.empty(len(runs))
-    for lo in range(0, len(runs), RUN_CHUNK):
-        chunk = runs[lo:lo + RUN_CHUNK]
-        amp, hx, hy = chunk[:, 0:1], chunk[:, 1:2], chunk[:, 2:3]
-        ts = run_times(chunk[:, 3])
-        s = damped_time(cfg.mu, ts)
-        # path_xy's position: the drift center plus the thrust displacement
-        cx, cy, _ = isochron_xyr(cfg.attacker, cfg.attacker_params, ts, s)
-        dx, dy, rd = isochron_xyr(cfg.defender, cfg.defender_params, ts, s)
-        ramp = ts - s
-        px, py = cx + amp * ramp * hx, cy + amp * ramp * hy
-        clearance[lo:lo + RUN_CHUNK] = (np.hypot(px - dx, py - dy) - rd).min(axis=1)
-    return clearance
-
-
 def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     """Sampled minimum clearances of the attacker's saturated straight runs to
     points[i] (x, y pairs) arriving at times[i] > 0, under steer_to's controls
     (one array pass of its formula); -inf where steer_to rejects the run.  A
-    positive clearance: never interceptable at the sampled resolution."""
+    positive clearance: never interceptable at the sampled resolution.  Runs
+    are sampled RUN_CHUNK at a time, each independent of the others."""
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
     t = np.array(times, dtype=float)
     u, theta, dist, r = steer_controls(cfg.attacker, cfg.attacker_params, x, y, t)
     ok = np.where(r > 0.0, dist <= r + BOUNDARY_SLACK, dist <= BOUNDARY_SLACK)
     heading = wrap_angle(theta[ok])
-    clearance = np.full(len(t), -np.inf)
-    clearance[ok] = _run_clearance(cfg, np.column_stack(
-        [u[ok] / cfg.mu, mapped(math.cos, heading), mapped(math.sin, heading), t[ok]]))
+    amp, hx, hy = u[ok] / cfg.mu, mapped(math.cos, heading), mapped(math.sin, heading)
+    runs, clearance = np.flatnonzero(ok), np.full(len(t), -np.inf)
+    for lo in range(0, len(runs), RUN_CHUNK):
+        part = slice(lo, lo + RUN_CHUNK)
+        ts = run_times(t[runs[part]])
+        s = damped_time(cfg.mu, ts)
+        # path_xy's position: the drift center plus the thrust displacement
+        cx, cy, _ = isochron_xyr(cfg.attacker, cfg.attacker_params, ts, s)
+        dx, dy, rd = isochron_xyr(cfg.defender, cfg.defender_params, ts, s)
+        ramp = (ts - s) * amp[part, None]
+        px, py = cx + ramp * hx[part, None], cy + ramp * hy[part, None]
+        clearance[runs[part]] = (np.hypot(px - dx, py - dy) - rd).min(axis=1)
     return clearance
 
 
 def safe_straight_run(cfg: GameConfig, point: Vec2,
                       times: list[float]) -> Optional[Control]:
     """Control of the first never-interceptable straight run to `point`,
-    trying the positive arrival `times` in order; None when there is none."""
+    trying the positive arrival `times` in order; None when there is none.
+    `first_zero` finds no zero of a safe run's clearance, whose slope is at
+    most cap_A + cap_D: |c_D'| + r_D' = |v_D| e^(-mu t) + cap_D (1 - e^(-mu t))."""
+    lip = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
     for t in times:
         if t > 0.0:
             try:
                 c = steer_to(cfg.attacker, cfg.attacker_params, point, t)
             except InfeasibleTargetError:
                 continue
-            run = [c.u / cfg.mu, math.cos(c.theta), math.sin(c.theta), t]
-            if _run_clearance(cfg, np.array([run]))[0] > 0.0:
+            if first_zero(lambda tau: clearance_at(cfg, c, tau), 0.0, t, lip) is None:
                 return c
     return None
 

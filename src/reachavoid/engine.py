@@ -6,10 +6,10 @@ step, and the terminal conditions are checked.  Each step makes its solves
 once for both players (`_Step`): the players' reach times at the target and
 the equal-time plan, or a failed plan's exception.  Because propagation within
 a step is exact, the step size only sets the replanning cadence, not any
-integration error.  Terminal events (capture ball, target ball) are refined by
-bisection inside the step so reported event times are comparable across step
-sizes; detection also subsamples each step so brief closest approaches are not
-stepped over.
+integration error.  The first terminal event in a step (capture ball, target
+ball) is a zero of one margin with a known slope bound, found by `first_zero`
+to ROOT_TOL; so no brief closest approach is stepped over, and event times are
+comparable across step sizes.
 """
 from __future__ import annotations
 
@@ -24,15 +24,12 @@ import numpy as np
 
 from .dynamics import (Control, InfeasibleTargetError, PlayerState,
                        damped_time, path_xy, propagate, steer_to)
-from .dominance import GameConfig
+from .dominance import SPEED_SLACK, GameConfig
 from .geometry import Vec2
-from .scribe import reach_times
+from .scribe import first_zero, reach_times
 from .strategies import (AttackerWinsError, PLAN_SWITCH_MARGIN, TerminalPlan,
                          best_r3_point, can_reach_target, choose_plan,
                          first_unsafe_crossing, pure_pursuit)
-
-EVENT_REFINE_TOL = 1e-6
-DETECT_SUBSTEPS = 8
 
 
 class AttackerPolicy(enum.Enum):
@@ -363,31 +360,18 @@ def _dists(cfg: GameConfig, a: PlayerState, d: PlayerState, ca: Control,
     return math.hypot(ax - dx, ay - dy), math.hypot(ax - tx, ay - ty)
 
 
-def _event_time(cfg: GameConfig, a: PlayerState, d: PlayerState,
-                ca: Control, cd: Control, dt: float,
-                eps_capture: float, eps_target: float) -> Optional[tuple[float, OutcomeKind]]:
-    """Earliest in-step crossing of either terminal ball, or None."""
+def _event_time(cfg: GameConfig, ca: Control, cd: Control, dt: float,
+                sc: Scenario) -> Optional[float]:
+    """First time in the step at which a terminal ball is reached, or None.
+    Speeds stay below the caps u_max/mu, so the capture margin over
+    cap_A + cap_D and the target margin over cap_A have slopes of at most 1."""
+    cap_a, cap_d = cfg.attacker_params.speed_cap, cfg.defender_params.speed_cap
 
-    def margins(h: float) -> tuple[float, float]:
-        dist_ad, dist_at = _dists(cfg, a, d, ca, cd, h)
-        return dist_ad - eps_capture, dist_at - eps_target
-
-    hs = [dt * k / DETECT_SUBSTEPS for k in range(DETECT_SUBSTEPS + 1)]
-    prev = margins(0.0)
-    for h0, h1 in zip(hs[:-1], hs[1:]):
-        cur = margins(h1)
-        for idx, kind in ((0, OutcomeKind.CAPTURED), (1, OutcomeKind.TARGET_REACHED)):
-            if prev[idx] > 0.0 >= cur[idx]:
-                lo, hi = h0, h1
-                while hi - lo > EVENT_REFINE_TOL:
-                    mid = 0.5 * (lo + hi)
-                    if margins(mid)[idx] > 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                return hi, kind
-        prev = cur
-    return None
+    def margin(h: float) -> float:
+        dist_ad, dist_at = _dists(cfg, cfg.attacker, cfg.defender, ca, cd, h)
+        return min((dist_ad - sc.eps_capture) / (cap_a + cap_d),
+                   (dist_at - sc.eps_target) / cap_a if cap_a > 0.0 else math.inf)
+    return first_zero(margin, 0.0, dt, 1.0 + SPEED_SLACK)
 
 
 def run(sc: Scenario) -> GameTrace:
@@ -423,11 +407,15 @@ def run(sc: Scenario) -> GameTrace:
         if not rows:
             record(ctrl_a, ctrl_d)
         dt = min(sc.dt, sc.horizon - t)
-        h, kind = _event_time(step_cfg, a, d, ctrl_a, ctrl_d, dt, sc.eps_capture,
-                              sc.eps_target) or (dt, OutcomeKind.TIMEOUT)
-        dist_ad, dist_at = _dists(cfg, a, d, ctrl_a, ctrl_d, h)
+        event = _event_time(step_cfg, ctrl_a, ctrl_d, dt, sc)
+        h = dt if event is None else event
         a = propagate(a, cfg.attacker_params, ctrl_a, h)
         d = propagate(d, cfg.defender_params, ctrl_d, h)
+        dist_ad, dist_at = (a.pos - d.pos).norm(), (a.pos - cfg.target).norm()
+        if event is not None:
+            # the event's kind from its margins: _dists' distances, bit for bit
+            kind = (OutcomeKind.CAPTURED if dist_ad <= sc.eps_capture
+                    else OutcomeKind.TARGET_REACHED)
         t += h
         record(ctrl_a, ctrl_d)
     return GameTrace(sc, TraceRows(rows), Outcome(kind, t, dist_at, a.pos),

@@ -12,8 +12,8 @@ three positive zeros.  The solver splits the axis by the signs of
 |dv|^2 + mu*dx.dv and dx.dv into a monotone case, a rise-then-fall case, and a
 wiggle case; in the wiggle case the unique zero of gap'' brackets the two
 extrema of gap', which in turn bracket up to three zeros of gap.  Each bracket
-holds at most one sign change, and `find_zero`, the one root solver of the
-library, keeps a sign change in its bracket: Chandrupatla's method, an
+holds at most one sign change, and `find_zero`, the library's bracketed root
+solver, keeps a sign change in its bracket: Chandrupatla's method, an
 inverse-quadratic step where it is safe and a bisection otherwise, each step
 at least tol/2 inside the bracket, stopping at a bracket of width <= tol or
 of two adjacent floats.
@@ -266,6 +266,30 @@ def find_zero(f: Callable[[float], float], lo: float,
         tl = 0.5 * tol / abs(b - a)
         t = min(max(t, tl), 1.0 - tl)
     return 0.5 * (a + b)
+
+
+def first_zero(f: Callable[[float], float], a: float, b: float,
+               lip: float) -> Optional[float]:
+    """First time in [a, b] where f, with |f'| <= lip, reaches zero, or None.
+
+    Lipschitz global search (Piyavskii 1972, Shubert 1972): an interval
+    [u, v] with f(u) + f(v) > lip*(v - u) holds no zero, any other is halved
+    (left half first) down to ROOT_TOL.  The result has f <= 0 and lies
+    within ROOT_TOL after the first zero; a dip shallower than lip*ROOT_TOL/2
+    may go unreported."""
+    todo = [(a, f(a), b, f(b))]
+    while todo:
+        u, fu, v, fv = todo.pop()
+        if fu <= 0.0:
+            return u
+        if fu + fv <= lip * (v - u):
+            if v - u > ROOT_TOL:
+                m = 0.5 * (u + v)
+                fm = f(m)
+                todo += ((m, fm, v, fv), (u, fu, m, fm))
+            elif fv <= 0.0:
+                return v
+    return None
 
 
 def scribe_times(p: ScribeProblem) -> RootSet:

@@ -223,21 +223,56 @@ def minima_snapshot() -> dict[str, list[list[float]]]:
     return {name: _minima(cfg) for name, cfg in minima_configs().items()}
 
 
+def _floats(doc, path: str = "") -> dict[str, float]:
+    """Every float of a JSON document, keyed by its path."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return {k: v for key, sub in items
+                for k, v in _floats(sub, f"{path}/{key}").items()}
+    return {path: doc} if isinstance(doc, float) else {}
+
+
+def _skeleton(doc):
+    """A JSON document with every float replaced by None."""
+    if isinstance(doc, dict):
+        return {k: _skeleton(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_skeleton(v) for v in doc]
+    return None if isinstance(doc, float) else doc
+
+
+def _write(path: Path, doc) -> str:
+    """Write `doc` to `path` as JSON and say how it differs from the file it
+    replaces: the largest |change| of the floats at paths both hold, and
+    whether anything else changed (an outcome kind, notes, a row count,
+    labels, the set of floats)."""
+    old = json.loads(path.read_text()) if path.exists() else None
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    new = json.loads(path.read_text())
+    if old is None or old == new:
+        return "new file" if old is None else "unchanged"
+    fo, fn = _floats(old), _floats(new)
+    worst = max((abs(fn[k] - fo[k]) for k in fo.keys() & fn.keys()), default=0.0)
+    rest = ", and more" if _skeleton(old) != _skeleton(new) else ""
+    return f"largest float |change| {worst:.3e}{rest}"
+
+
 def main() -> None:
     for name, make in GAMES.items():
         snap = snapshot(run(make()))
-        (GOLDEN / f"{name}.json").write_text(json.dumps(snap, indent=1) + "\n")
+        change = _write(GOLDEN / f"{name}.json", snap)
         print(f"{name}: {snap['outcome']['kind']} t={snap['outcome']['t']:.6f} "
-              f"rows={snap['row_count']} notes={len(snap['notes'])}")
+              f"rows={snap['row_count']} notes={len(snap['notes'])} ({change})")
     labels = label_snapshot()
-    (GOLDEN / "labels.json").write_text(json.dumps(labels, indent=1) + "\n")
+    change = _write(GOLDEN / "labels.json", labels)
     text = "".join("".join(m) for m in labels["maps"].values()) \
         + "".join(labels["vertices"].values())
-    print("labels: " + " ".join(f"{c}={text.count(c)}" for c in LABEL_CODE.values()))
+    print("labels: " + " ".join(f"{c}={text.count(c)}" for c in LABEL_CODE.values())
+          + f" ({change})")
     minima = minima_snapshot()
-    (GOLDEN / "minima.json").write_text(json.dumps(minima, indent=1) + "\n")
+    change = _write(GOLDEN / "minima.json", minima)
     print(f"minima: {len(minima)} configurations, "
-          f"{sum(map(len, minima.values()))} candidates")
+          f"{sum(map(len, minima.values()))} candidates ({change})")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from reachavoid import (Control, InfeasibleTargetError, PlayerParams,
                         PlayerState, R3Condition, RegionLabel, Vec2,
                         boundary_minima, capture_boundary, classify_point,
                         mrr_boundary, propagate, r3_certificates, reach_times,
-                        reach_times_many, region_map, steer_to,
+                        reach_times_many, region_map, scenario_io, steer_to,
                         tangency_windows)
 from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, SAFETY_SAMPLES,
                                   BoundarySegment,
@@ -18,7 +18,7 @@ from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, SAFETY_SAMPLES,
                                   _dip_candidates, _l_point,
                                   arrival_alignment,
                                   clearance_at, intersection_points,
-                                  matched_index, run_times,
+                                  matched_index, race, run_times,
                                   safe_straight_run, straight_runs)
 from reachavoid.dynamics import steer_controls
 from reachavoid.geometry import point_in_polygon
@@ -449,8 +449,24 @@ class TestStraightRuns:
                 reference = float(clearance_at(cfg, ctrl, ts).min())
                 assert clearance[i] == reference
                 assert safe[i] == (reference > 0.0)
+                dense = clearance_at(cfg, ctrl, np.linspace(0.0, t, 4001))
                 assert safe_straight_run(cfg, Vec2(x, y), [t]) == \
-                    (ctrl if safe[i] else None)
+                    (ctrl if dense.min() > 0.0 else None)
+
+    def test_a_dip_between_samples_is_unsafe(self):
+        # a step of a bench random game: the target run's clearance is
+        # positive at all 200 samples but below zero for about 6.7 ms
+        # around tau = 0.081, between two of them
+        cfg = make_cfg((-0.23864803086220285, -1.4692519970963527),
+                       (0.06682784590672214, 0.6401324248918498),
+                       (-0.21454979856528927, -1.338034106919793),
+                       (-0.24167423765287818, -1.027324896592106),
+                       u_d=1.6423121942795893, mu=1.4615820748171648)
+        t = 2.215966016770028
+        assert straight_runs(cfg, [(0.0, 0.0)], [t])[0] > 0.0
+        ctrl = steer_to(cfg.attacker, cfg.attacker_params, cfg.target, t)
+        assert clearance_at(cfg, ctrl, 0.081) < 0.0
+        assert safe_straight_run(cfg, cfg.target, [t]) is None
 
     def test_time_grid_is_linspace(self):
         rng = np.random.default_rng(53)
@@ -478,6 +494,26 @@ class TestGoldenLabels:
                                      "special1_pair_indices"])
     def test_matches_golden(self, golden, current, key):
         assert current[key] == golden[key]
+
+    def test_r1_cells_have_a_certified_run(self, current):
+        """The labeller samples each straight run at 200 times; the game
+        checks a run with first_zero.  Every R_I cell of the maps has a
+        winning arrival time whose run first_zero finds safe."""
+        doc = scenario_io.load(record.SCENARIOS / "special1.json")
+        games = {"special1": (doc.scenario.cfg, doc.render.window,
+                              doc.render.resolution)}
+        for seed in record.SEEDED:
+            games[f"seed{seed}"] = (*record._seeded_game(seed), record.SEEDED_RESOLUTION)
+        for name, (cfg, (xmin, xmax, ymin, ymax), (nx, ny)) in games.items():
+            xs, ys = np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
+            cells = [Vec2(float(xs[i]), float(ys[j]))
+                     for j, row in enumerate(current["maps"][name])
+                     for i, code in enumerate(row) if code == "1"]
+            assert cells, name
+            for p in cells:
+                wins = race(cfg, p)
+                assert min(wins) <= 0.0 \
+                    or safe_straight_run(cfg, p, wins) is not None, (name, p)
 
     def test_every_label_occurs(self, golden):
         text = "".join("".join(rows) for rows in golden["maps"].values())
@@ -509,7 +545,7 @@ def test_boundary_minima_order_mirror_ties_by_polar_angle():
 # dips it checks on the configurations of minima.json
 ORACLE_DIGITS = 40
 ORACLE_WINDOW = Decimal("1e-4")
-ORACLE_DIPS = 26
+ORACLE_DIPS = 23
 
 
 def _oracle_l_point(cfg, side: float, t: Decimal) -> tuple[Decimal, Decimal]:

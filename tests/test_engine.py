@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from reachavoid import (AttackerPolicy, Control, DefenderPolicy, OutcomeKind,
-                        Scenario, Vec2, propagate, r3_certificates, run,
-                        strategy_one, tangency_windows)
-from reachavoid.engine import DETECT_SUBSTEPS, _dists
-from reachavoid.scenario_io import TRACE_COLUMNS, trace_to_csv
+                        Scenario, Vec2, first_zero, propagate, r3_certificates,
+                        run, strategy_one, tangency_windows)
+import reachavoid.engine
+from reachavoid.engine import _dists
+from reachavoid.scenario_io import TRACE_COLUMNS, loads, trace_to_csv
 
 from conftest import make_cfg, random_player
 from golden import record
@@ -122,13 +123,64 @@ class TestEventMargins:
             cd = Control(pd.u_max * rng.choice([0.0, rng.random(), 1.0]),
                          rng.uniform(0.0, 2.0 * math.pi))
             dt = float(rng.choice([0.025, 0.05]))
-            # the substep ends of a step and times between them
-            hs = [dt * k / DETECT_SUBSTEPS for k in range(DETECT_SUBSTEPS + 1)]
+            # the first_zero bisection points of a step and times between them
+            hs = [dt * k / 8 for k in range(9)]
             for h in hs + rng.uniform(0.0, dt, 8).tolist():
                 a = propagate(cfg.attacker, pa, ca, h).pos
                 d = propagate(cfg.defender, pd, cd, h).pos
                 assert _dists(cfg, cfg.attacker, cfg.defender, ca, cd, h) \
                     == ((a - d).norm(), (a - cfg.target).norm())
+
+
+class TestTerminalEvents:
+    """Terminal events that an 8-substep scan of each step stepped over."""
+
+    # seed-11 game 52 of the bench's random games: the attacker-defender
+    # distance stays inside the capture ball for 5.5 ms from t = 1.0066 (its
+    # minimum, 1.8e-7, is near 1.0094), between the substeps 1.00625 and
+    # 1.0125, and the game went on to reach the target at 3.375
+    SEED11_GAME52 = (
+        '{"mu": 0.9541645170453951, "players": {"attacker": {"pos": '
+        '[2.223705962439924, -0.3488823526635176], "u_max": 1.0, "vel": '
+        '[0.03506791856605987, 0.09880613155472386]}, "defender": {"pos": '
+        '[1.9651364141810281, 1.0495169198530605], "u_max": 2.4547236170247015, '
+        '"vel": [0.17334402727026074, -0.7541974300979611]}}, "policies": '
+        '{"attacker": "strategy_i", "defender": "strategy_i"}, "sim": '
+        '{"dt": 0.05, "t_max": 4.0}, "target": [0.0, 0.0]}')
+
+    def test_special1_intercept_is_captured(self):
+        # the attacker-defender distance falls to 6.3e-8 at t ~ 0.8108, in
+        # the step from t = 0.8; the game used to reach the target at 1.711
+        trace = run(record.GAMES["special1_intercept"]())
+        assert trace.outcome.kind is OutcomeKind.CAPTURED
+        assert trace.outcome.t == pytest.approx(0.8107, abs=1e-4)
+        assert trace.rows[-1].dist_ad <= trace.scenario.eps_capture
+
+    def test_seed11_game52_is_captured(self):
+        trace = run(loads(self.SEED11_GAME52).scenario)
+        assert trace.outcome.kind is OutcomeKind.CAPTURED
+        assert trace.outcome.t == pytest.approx(1.0066, abs=1e-4)
+        assert trace.rows[-1].dist_ad <= trace.scenario.eps_capture
+
+    def test_a_parked_zero_thrust_attacker_is_captured(self):
+        # cap_A = 0: the target margin cannot change, and is not divided by it
+        cfg = make_cfg((1.0, 0.5), (0.0, 0.0), (-0.5, 0.5), (0.0, 0.0), u_a=0.0)
+        trace = run(Scenario(cfg=cfg, attacker_policy=AttackerPolicy.CONSTANT,
+                             constant_ctrl=Control(0.0, 0.0),
+                             defender_policy=DefenderPolicy.PURE_PURSUIT))
+        assert trace.outcome.kind is OutcomeKind.CAPTURED
+        assert trace.outcome.t == pytest.approx(1.53123, abs=1e-5)
+
+    def test_one_search_per_step(self, monkeypatch, case2):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return first_zero(*args)
+
+        monkeypatch.setattr(reachavoid.engine, "first_zero", counted)
+        trace = run(Scenario(cfg=case2))
+        assert len(calls) == len(trace.rows) - 1
 
 
 class TestScenarioValidation:
@@ -286,42 +338,46 @@ class TestRandomGameDigests:
 
     GAMES = random_games(1, 21)
     # (outcome, digest); games 0-15 cover all four policy pairs, target runs
-    # and plan-failed notes, game 20 is an R_II stalemate that times out
+    # and plan-failed notes, game 18 times out, and game 20 is captured at
+    # t = 1.913 (it timed out as an R_II stalemate while a scan of 8
+    # substeps per step stepped over that capture)
     DIGESTS = {
         0: ("target_reached",
-            "c703e7e50ed84229457e13dbe8595581996ac773c56fd6313179629372348f5f"),
+            "4240138b9e760dd30b3130a27f82db0550a065400dbd22c5e821619a2e1ff7d5"),
         1: ("captured",
-            "45e611acb0a05cad4c8fdd500ee582150c42681af746c9fc8289b57745fbf086"),
+            "5a6d7f4505850633a8ce6b98f9e4d14eaa992e566de61b03cbb2753006a56234"),
         2: ("target_reached",
-            "8e488003301eec2c6492217e1b1507f1c4d0a321e975365e85d71a48a08be7d0"),
+            "0db31f538880e36466e7a575d6be6ecb5aab2e1a7a70a37faea63ad2c136298b"),
         3: ("captured",
-            "718d44078203bd564ddc3705f3bde478b2ca07219af7ea3790f2b752376ce1eb"),
+            "917c2b688379d43331ee77de536c4886460217c72c25fc6151ea1e445af671ae"),
         4: ("target_reached",
-            "f5629884c172739c243ebb8f2e0f2aa11d5db9d4d902ba6f783cd25438e16e0d"),
-        5: ("target_reached",
-            "64c610c21c6546d8e616346c612dcd6e175fde4a3be60b3db892f419c7638153"),
+            "e925c81a55bcf2a7ffb2ce5ebec496682216f64e0d6b7fdc084bd396b2bb344d"),
+        5: ("captured",
+            "75b561618d8fc0456430cce991b9e854c1d43caff1af432ddd7b2a581f81c269"),
         6: ("target_reached",
-            "534bfd2eab7ecfc4a58a2baec81ee19476f19c4dbb520f24e162a16d5e25a89b"),
+            "ae0a4b634c49c12508c22dc820a85a0b1a77e24a8d611188629af5ca6ef4116d"),
         7: ("target_reached",
-            "e64c6d9497d88f64096ed6defbf52adcf4b36ccbe66184955e71fcf669346751"),
+            "8c3297a18a3a2fc4f41063c2ce9f963b161f597ef510a0b4cf1b5c7c5e4ba8c3"),
         8: ("captured",
-            "95fd6e46657997d5305a688a4c9c4b23f323011f3d26d08a5a70ae3ecc33b6dc"),
+            "d6bb659899d3be4f30ddbd4532c8aed46e1daf44d594e2f3b4c416960d49a50b"),
         9: ("captured",
-            "51c2c4efd3f9fc2461e20d36e1dce187d22e5992e54511956594f4c166188612"),
+            "a94b8b1a15285f097a17950c634c6ed4af3d3560911c79fb8209f154d8b52d2b"),
         10: ("target_reached",
-            "5f0260ff5d337c3f4747c673b4406766922aeb9845fa449e9553cf3be9ec4944"),
+            "3902917557f60cdf431829cf752a96a5688ab985958f08fd5ab303c103dca24e"),
         11: ("captured",
-            "c17d9ab45ca0a22234a933032e5e8c6f284ac75f86d0b5341b9a3729c3c2e46c"),
-        12: ("target_reached",
-            "cd5f8657ea5a043a5437ff3a15430977957dea43c3a12dc9f2b3fe97ee60bc2d"),
+            "9d0f6138d4e1f679618f07f043f62633bd238fc10e23167f52efd5f11fb945c1"),
+        12: ("captured",
+            "7c665c5edaa0e5650a6543455219fa45de96ee4915c860691e49afb1c5cad9de"),
         13: ("captured",
-            "fc41432d672d4a07c760306ab05203cc1f8cb3b4d72fca64d93058fdee874953"),
+            "156606829514800b243858d1af8581a631e4a3ca7078139be5cb78cfa15cdd7d"),
         14: ("target_reached",
-            "f5a0ada57d4d54827ca712816705a5ad2e6153183e4e53e3e9ee2c0634c042c5"),
+            "145814a674d72921d8184d74c58e18d90484096806cb76aeade2df66646350f3"),
         15: ("captured",
-            "6fa741ff54859e0fc9267823e049ad0d3d1388d50fef5239e0a9cfdb9807b468"),
-        20: ("timeout",
-            "c5a28079878bd446eca648c8ff4a59b3cb7596d555f0a20b48f45b95bf66c83c"),
+            "aaaf1cda0455952128f0366da6ee436c0f85a1ffebdc61e45fd68876f800579a"),
+        18: ("timeout",
+            "1c8443a79be23f45234522b1b332a43e7d463ee9655e3c4325703eb60eb602e2"),
+        20: ("captured",
+            "3c9d2cc286e3111dfa3e71ee209c0526575072ec2e28d14e6f0d67305f946dcb"),
     }
 
     @pytest.mark.parametrize("i", sorted(DIGESTS))

@@ -1,8 +1,7 @@
 """Golden traces: `run` must reproduce the recorded games within the contract.
 
-Positions, velocities and the payoff agree to 1e-8, event times to 1e-6 (the
-engine's event refinement tolerance), plan-switch times to 1e-9 (they are step
-times) and notes exactly.  Regenerate with tests/golden/record.py only for an
+Positions, velocities and the payoff agree to 1e-8, event times to 1e-6,
+plan-switch times to 1e-9 (they are step times) and notes exactly.  Regenerate with tests/golden/record.py only for an
 intended change of behaviour, and say why in CHANGES.md.
 """
 import json

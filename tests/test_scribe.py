@@ -8,9 +8,9 @@ import pytest
 import oracle
 from reachavoid import (Branch, Control, PlayerParams, PlayerState, RootSet,
                         ScribeBatch, ScribeMode, ScribeProblem, Vec2,
-                        boundary_point, cusp_time, find_zero, gap, propagate,
-                        reach_times, reach_times_many, run, scribe_times,
-                        scribe_times_batch)
+                        boundary_point, cusp_time, find_zero, first_zero, gap,
+                        propagate, reach_times, reach_times_many, run,
+                        scribe_times, scribe_times_batch)
 from reachavoid import scribe
 from reachavoid.scenario_io import load
 from reachavoid.scribe import ROOT_TOL, gap_d1, gap_d2
@@ -142,6 +142,50 @@ class TestFindZero:
             for mode in ScribeMode:
                 scribe_times(ScribeProblem(*pair, mode))
         assert sum(calls) / len(calls) <= 12.0
+
+
+class TestFirstZero:
+    """first_zero on synthetic margins whose first zero is known."""
+
+    def test_finds_a_dip_of_width_1e_9(self):
+        # |f'| = 1; f <= 0 only on [c - 5e-10, c + 5e-10]
+        c = 0.7123456789
+        f = lambda t: min(1.0, abs(t - c) - 5e-10)
+        tau = first_zero(f, 0.0, 2.0, 1.0)
+        assert tau is not None and f(tau) <= 0.0
+        assert c - 5e-10 <= tau <= c - 5e-10 + ROOT_TOL
+
+    def test_returns_the_first_of_two_zeros(self):
+        # zeros at 0.4 and 1.1; |f'| <= 2.5 on [0, 2]
+        f = lambda t: (t - 0.4) * (t - 1.1)
+        tau = first_zero(f, 0.0, 2.0, 2.5)
+        assert f(tau) <= 0.0 and 0.4 <= tau <= 0.4 + ROOT_TOL
+
+    def test_lands_within_root_tol_after_the_first_crossing(self):
+        # cos(w t) + b first reaches zero at acos(-b) / w, and |f'| <= w
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            w, b = rng.uniform(0.5, 40.0), rng.uniform(-0.99, 0.99)
+            f = lambda t: math.cos(w * t) + b
+            t_star = math.acos(-b) / w
+            tau = first_zero(f, 0.0, t_star + rng.uniform(0.0, 5.0), w)
+            assert f(tau) <= 0.0
+            assert t_star - 1e-13 <= tau <= t_star + ROOT_TOL
+
+    def test_a_positive_touch_is_no_zero(self):
+        c = 0.3
+        assert first_zero(lambda t: abs(t - c) + 1e-12, 0.0, 1.0, 1.0) is None
+
+    def test_a_margin_clear_of_zero_costs_two_evaluations(self):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return 2.0 + 0.5 * math.sin(t)
+
+        # f(0) + f(1) > 1 * (1 - 0)
+        assert first_zero(f, 0.0, 1.0, 1.0) is None
+        assert calls == [0.0, 1.0]
 
 
 class TestScribeTimes:

@@ -353,3 +353,35 @@ class TestFirstUnsafeCrossing:
         want = float_scan(cfg, ctrl, t_end)
         assert want is not None and want[1] > taus[-2]
         assert first_unsafe_crossing(cfg, ctrl, t_end) == want
+
+
+class TestCrossingScanDefect:
+    """The scan's 800 samples step over a dip in special2's step at
+    t = 0.225 (ROADMAP item 12).  Scanning with first_zero would move
+    special2's outcome by 2.6e-3 s, beyond the bench reference, so the scan
+    stays until the reference is recorded again."""
+
+    cfg = make_cfg((-0.011251344566503256, -4.979386480356243),
+                   (-0.08963756528886854, 0.18002900335807753),
+                   (-0.09629977090411246, -4.9469693544743),
+                   (1.6168484143658073, -0.40187718492397745))
+    ctrl = Control(1.0, 1.9274024760477366)
+    t_end = 2.1109536475925643
+
+    def dense_crossing(self) -> float:
+        """First sample <= 0 of a 200,001-point scan, after a dip below -3e-4."""
+        taus = np.linspace(0.0, self.t_end, 200_001)
+        vals = clearance_at(self.cfg, self.ctrl, taus)
+        assert vals.min() < -3e-4
+        return float(taus[np.argmax(vals <= 0.0)])
+
+    def test_dense_scan_shows_the_dip(self):
+        assert self.dense_crossing() == pytest.approx(0.05065, abs=1e-5)
+        taus = np.linspace(self.t_end / CROSSING_SAMPLES, self.t_end, CROSSING_SAMPLES)
+        assert (clearance_at(self.cfg, self.ctrl, taus[:20]) > 0.0).all()
+
+    @pytest.mark.xfail(strict=True, reason="800 samples miss the dip")
+    def test_scan_finds_the_dip(self):
+        crossing = first_unsafe_crossing(self.cfg, self.ctrl, self.t_end)
+        assert crossing is not None
+        assert crossing[1] == pytest.approx(self.dense_crossing(), abs=1e-4)
