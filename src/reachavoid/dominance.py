@@ -38,9 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (BOUNDARY_SLACK, Control, DomainError,
-                       InfeasibleTargetError, PlayerParams, PlayerState,
-                       damped_time, isochron_xyr, path_xy, steer_controls,
+from .dynamics import (BOUNDARY_SLACK, Control, DomainError, PlayerParams,
+                       PlayerState, damped_time, isochron_xyr, steer_controls,
                        steer_to)
 from .geometry import Vec2, mapped, point_in_polygon, polygon_area, wrap_angle
 from .mrr import CLASSIFY_TOL, merge_roots, mrr_boundary
@@ -51,13 +50,13 @@ from .scribe import (RootSet, ScribeMode, ScribeProblem, find_zero,
 SWEEP_SAMPLES = 2048
 # sweep samples of L for the defender's reach-time index (one batch solve)
 ANNOTATE_SAMPLES = 600
-# trajectory samples for the straight-run safety check behind R_I
+# even intervals of straight_runs' array pass over a run's [0, t]
 SAFETY_SAMPLES = 200
 # trajectory samples of the scan for a planned run's first interceptable point
 CROSSING_SAMPLES = 800
 # |clearance| that the scan evaluates again on floats, per unit of run length
 CROSSING_BAND = 1e-9
-# straight runs evaluated together; bounds the (runs, SAFETY_SAMPLES) arrays
+# straight runs evaluated together; bounds the (runs, SAFETY_SAMPLES + 1) arrays
 RUN_CHUNK = 128
 # relative slack of GameConfig's speed check; the margins' slope bounds carry it
 SPEED_SLACK = 1e-9
@@ -274,9 +273,9 @@ def matched_index(times: list[float], t: float, alignment: float) -> int:
 def arrival_alignment(state: PlayerState, params: PlayerParams, point: Vec2,
                       t: float) -> float:
     """Terminal velocity component along the heading for the arrival at t."""
-    ctrl = steer_to(state, params, point, t)
     if t < 0.0:
         raise DomainError(f"propagation time must be >= 0, got {t}")
+    ctrl = steer_to(state, params, point, t)
     return _alignment(state, params, ctrl.u, ctrl.theta, t)
 
 
@@ -398,11 +397,11 @@ def _cond1_components(cfg: GameConfig) -> list[R3Component]:
     if len(outs) < 2 or outs[1] >= inn.first:
         return []
     t1, t2 = outs[0], outs[1]
-    ts = np.linspace(t1, t2, 400)
-    # the coasting path is the attacker's drift center
-    if clearance_at(cfg, Control(0.0, 0.0), ts).min() <= 0.0:
+    # the thrustless path is the attacker's drift center; lip as in straight_runs
+    lip = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
+    if first_zero(_clearance(cfg, 0.0, 1.0, 0.0), t1, t2, lip) is not None:
         return []
-    plus, minus, valid = intersection_points(cfg, ts)
+    plus, minus, valid = intersection_points(cfg, np.linspace(t1, t2, 400))
     loop = np.vstack([plus[valid], minus[valid][::-1]])
     if len(loop) < 3:
         return []
@@ -505,9 +504,8 @@ def _cond2_components(cfg: GameConfig) -> list[R3Component]:
     return components
 
 
-@lru_cache(maxsize=32)
 def r3_certificates(cfg: GameConfig) -> tuple[R3Component, ...]:
-    """Certified third-region components for a configuration (cached)."""
+    """Certified third-region components for a configuration."""
     return tuple(_cond1_components(cfg) + _cond2_components(cfg))
 
 
@@ -517,65 +515,66 @@ def r3_certificates(cfg: GameConfig) -> tuple[R3Component, ...]:
 def clearance_at(cfg: GameConfig, ctrl: Control, t):
     """Distance at time t (a float or an array) from the attacker's path under
     `ctrl` to the defender's reachable disc; negative where interceptable."""
-    s = damped_time(cfg.mu, t)
-    px, py = path_xy(cfg.attacker, cfg.attacker_params, ctrl, t, s)
-    dx, dy, rd = isochron_xyr(cfg.defender, cfg.defender_params, t, s)
-    hypot = np.hypot if isinstance(t, np.ndarray) else math.hypot
-    return hypot(px - dx, py - dy) - rd
+    return _clearance(cfg, ctrl.u, math.cos(ctrl.theta), math.sin(ctrl.theta))(t)
 
 
-def run_times(t_end: np.ndarray) -> np.ndarray:
-    """Sample times of straight runs arriving at `t_end`, one row per run:
-    np.linspace(t / SAFETY_SAMPLES, t, SAFETY_SAMPLES), bit for bit."""
-    start = t_end / SAFETY_SAMPLES
-    step = (t_end - start) / (SAFETY_SAMPLES - 1)
-    ts = np.arange(SAFETY_SAMPLES) * step[:, None] + start[:, None]
-    ts[:, -1] = t_end
-    return ts
+def _clearance(cfg: GameConfig, u, hx, hy):
+    """clearance_at under thrust u along (hx, hy) as a function of t (floats,
+    or columns against a 2-D t, one run per row), in the operations of
+    path_xy and isochron_xyr, with the players' floats bound once."""
+    a, d = cfg.attacker, cfg.defender
+    ax, ay, avx, avy = a.pos.x, a.pos.y, a.vel.x, a.vel.y
+    dx, dy, dvx, dvy = d.pos.x, d.pos.y, d.vel.x, d.vel.y
+    mu, rate, amp = cfg.mu, cfg.defender_params.speed_cap, u / cfg.mu
+
+    def clearance(t):
+        s = damped_time(mu, t)
+        w = t - s
+        hypot = np.hypot if isinstance(t, np.ndarray) else math.hypot
+        return hypot(ax + avx * s + amp * w * hx - (dx + dvx * s),
+                     ay + avy * s + amp * w * hy - (dy + dvy * s)) - rate * w
+    return clearance
 
 
 def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
-    """Sampled minimum clearances of the attacker's saturated straight runs to
-    points[i] (x, y pairs) arriving at times[i] > 0, under steer_to's controls
-    (one array pass of its formula); -inf where steer_to rejects the run.  A
-    positive clearance: never interceptable at the sampled resolution.  Runs
-    are sampled RUN_CHUNK at a time, each independent of the others."""
+    """Whether the attacker's saturated straight run to points[i] (x, y pairs)
+    arriving at times[i] > 0 under steer_to's control is never interceptable:
+    one boolean per run, False where steer_to rejects it.  Its clearance f
+    starts at |A_0 - D_0| > 0 and moves at most at lip = cap_A + cap_D.  An
+    array pass samples f at the times t k / SAFETY_SAMPLES, RUN_CHUNK runs at
+    a time: a sample <= 0 is unsafe, and a run whose neighbouring samples u, v
+    all pass first_zero's test f(u) + f(v) > lip (v - u) is safe.  first_zero
+    decides the rest, from the first failing pair to the last."""
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
     t = np.array(times, dtype=float)
     u, theta, dist, r = steer_controls(cfg.attacker, cfg.attacker_params, x, y, t)
     ok = np.where(r > 0.0, dist <= r + BOUNDARY_SLACK, dist <= BOUNDARY_SLACK)
-    heading = wrap_angle(theta[ok])
-    amp, hx, hy = u[ok] / cfg.mu, mapped(math.cos, heading), mapped(math.sin, heading)
-    runs, clearance = np.flatnonzero(ok), np.full(len(t), -np.inf)
-    for lo in range(0, len(runs), RUN_CHUNK):
+    hx, hy = np.cos(theta), np.sin(theta)
+    lip = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
+    grid = np.arange(SAFETY_SAMPLES + 1) / SAFETY_SAMPLES
+    safe = np.zeros(len(t), dtype=bool)
+    for lo in range(0, len(t), RUN_CHUNK):
         part = slice(lo, lo + RUN_CHUNK)
-        ts = run_times(t[runs[part]])
-        s = damped_time(cfg.mu, ts)
-        # path_xy's position: the drift center plus the thrust displacement
-        cx, cy, _ = isochron_xyr(cfg.attacker, cfg.attacker_params, ts, s)
-        dx, dy, rd = isochron_xyr(cfg.defender, cfg.defender_params, ts, s)
-        ramp = (ts - s) * amp[part, None]
-        px, py = cx + ramp * hx[part, None], cy + ramp * hy[part, None]
-        clearance[runs[part]] = (np.hypot(px - dx, py - dy) - rd).min(axis=1)
-    return clearance
+        ts = t[part, None] * grid
+        f = _clearance(cfg, u[part, None], hx[part, None], hy[part, None])(ts)
+        # the spacing is t / SAFETY_SAMPLES up to rounding, which lip's slack covers
+        fails = f[:, :-1] + f[:, 1:] <= lip / SAFETY_SAMPLES * t[part, None]
+        doubt = fails.any(axis=1)
+        safe[part] = ok[part] & ~doubt
+        for i in np.flatnonzero(ok[part] & doubt & (f > 0.0).all(axis=1)).tolist():
+            run = _clearance(cfg, float(u[lo + i]), float(hx[lo + i]), float(hy[lo + i]))
+            j = np.flatnonzero(fails[i])
+            safe[lo + i] = first_zero(run, *ts[i, [j[0], j[-1] + 1]].tolist(), lip) is None
+    return safe
 
 
 def safe_straight_run(cfg: GameConfig, point: Vec2,
                       times: list[float]) -> Optional[Control]:
-    """Control of the first never-interceptable straight run to `point`,
-    trying the positive arrival `times` in order; None when there is none.
-    `first_zero` finds no zero of a safe run's clearance, whose slope is at
-    most cap_A + cap_D: |c_D'| + r_D' = |v_D| e^(-mu t) + cap_D (1 - e^(-mu t))."""
-    lip = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
-    for t in times:
-        if t > 0.0:
-            try:
-                c = steer_to(cfg.attacker, cfg.attacker_params, point, t)
-            except InfeasibleTargetError:
-                continue
-            if first_zero(lambda tau: clearance_at(cfg, c, tau), 0.0, t, lip) is None:
-                return c
-    return None
+    """steer_to's control of the first positive time in `times` whose run to
+    `point` straight_runs finds safe; None when there is none."""
+    xy = [(point.x, point.y)]
+    return next((steer_to(cfg.attacker, cfg.attacker_params, point, t) for t in times
+                 if t > 0.0 and straight_runs(cfg, xy, [t])[0]), None)
 
 
 def _reach_rows(cfg: GameConfig, point: Vec2, times=None) -> np.ndarray:
@@ -648,8 +647,7 @@ def _labels(cfg: GameConfig, pts: np.ndarray, atk: np.ndarray,
     for t, w in zip(ea, wins):
         # each cell's winning times in order, as safe_straight_run tries them
         rows = np.nonzero(won & ~safe & w & (t > 0.0))[0]
-        if len(rows):
-            safe[rows] = straight_runs(cfg, pts[rows], t[rows]) > 0.0
+        safe[rows] = straight_runs(cfg, pts[rows], t[rows])
     r3 = np.zeros(len(pts), dtype=bool)
     timing = np.nonzero(undecided & ~won & ~np.isnan(ed[2])
                         & (ed[0] + tol < ea[0]) & (ea[0] < ed[1] - tol))[0]

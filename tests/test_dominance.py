@@ -5,20 +5,19 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from reachavoid import (Control, InfeasibleTargetError, PlayerParams,
-                        PlayerState, R3Condition, RegionLabel, Vec2,
+from reachavoid import (Control, DomainError, InfeasibleTargetError,
+                        PlayerParams, PlayerState, R3Condition, RegionLabel, Vec2,
                         boundary_minima, capture_boundary, classify_point,
                         mrr_boundary, propagate, r3_certificates, reach_times,
                         reach_times_many, region_map, scenario_io, steer_to,
                         tangency_windows)
-from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, SAFETY_SAMPLES,
-                                  BoundarySegment,
+from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, BoundarySegment,
                                   _active_intervals, _alignment,
                                   _annotate_segment,
                                   _dip_candidates, _l_point,
                                   arrival_alignment,
                                   clearance_at, intersection_points,
-                                  matched_index, race, run_times,
+                                  matched_index, race,
                                   safe_straight_run, straight_runs)
 from reachavoid.dynamics import steer_controls
 from reachavoid.geometry import point_in_polygon
@@ -273,6 +272,13 @@ class TestMatchedIndex:
         idx = matched_index(times, t_pair, s)
         assert idx in (2, 3)
 
+    def test_negative_time_is_a_domain_error(self, special1):
+        # steer_to reaches the start at any t <= 0 and rejects other points
+        st, par = special1.defender, special1.defender_params
+        for point in (st.pos, st.pos + Vec2(0.5, 0.0)):
+            with pytest.raises(DomainError):
+                arrival_alignment(st, par, point, -0.1)
+
 
 class TestClassifyPoint:
     def test_attacker_start_is_first_region(self, case3):
@@ -433,48 +439,49 @@ class TestStraightRuns:
         rng = np.random.default_rng(52)
         for cfg in (special1, case2):
             points, times = self.runs(cfg, rng, 2 * RUN_CHUNK + 60)
-            clearance = straight_runs(cfg, points, times)
-            safe = clearance > 0.0
-            assert 0 < safe.sum() < len(safe)
+            safe = straight_runs(cfg, points, times)
+            assert safe.dtype == bool and 0 < safe.sum() < len(safe)
             for i, ((x, y), t) in enumerate(zip(points, times)):
-                assert straight_runs(cfg, [(x, y)], [t])[0] == clearance[i]
+                assert straight_runs(cfg, [(x, y)], [t])[0] == safe[i]
                 try:
                     ctrl = steer_to(cfg.attacker, cfg.attacker_params,
                                     Vec2(x, y), t)
                 except InfeasibleTargetError:
-                    assert clearance[i] == -np.inf
+                    assert not safe[i]
                     assert safe_straight_run(cfg, Vec2(x, y), [t]) is None
                     continue
-                ts = np.linspace(t / SAFETY_SAMPLES, t, SAFETY_SAMPLES)
-                reference = float(clearance_at(cfg, ctrl, ts).min())
-                assert clearance[i] == reference
-                assert safe[i] == (reference > 0.0)
                 dense = clearance_at(cfg, ctrl, np.linspace(0.0, t, 4001))
+                assert safe[i] == (dense.min() > 0.0)
                 assert safe_straight_run(cfg, Vec2(x, y), [t]) == \
-                    (ctrl if dense.min() > 0.0 else None)
+                    (ctrl if safe[i] else None)
+
+    # a step of a bench random game: the target run's clearance is positive
+    # at the 200 samples t k / 200 (k = 1..200) but below zero for about
+    # 6.7 ms around tau = 0.081, between two of them
+    DIP = dict(a=((-0.23864803086220285, -1.4692519970963527),
+                  (0.06682784590672214, 0.6401324248918498)),
+               d=((-0.21454979856528927, -1.338034106919793),
+                  (-0.24167423765287818, -1.027324896592106)),
+               u_d=1.6423121942795893, mu=1.4615820748171648, t=2.215966016770028)
+
+    def dip_cfg(self):
+        k = self.DIP
+        return make_cfg(*k["a"], *k["d"], u_d=k["u_d"], mu=k["mu"])
 
     def test_a_dip_between_samples_is_unsafe(self):
-        # a step of a bench random game: the target run's clearance is
-        # positive at all 200 samples but below zero for about 6.7 ms
-        # around tau = 0.081, between two of them
-        cfg = make_cfg((-0.23864803086220285, -1.4692519970963527),
-                       (0.06682784590672214, 0.6401324248918498),
-                       (-0.21454979856528927, -1.338034106919793),
-                       (-0.24167423765287818, -1.027324896592106),
-                       u_d=1.6423121942795893, mu=1.4615820748171648)
-        t = 2.215966016770028
-        assert straight_runs(cfg, [(0.0, 0.0)], [t])[0] > 0.0
+        cfg, t = self.dip_cfg(), self.DIP["t"]
         ctrl = steer_to(cfg.attacker, cfg.attacker_params, cfg.target, t)
+        assert (clearance_at(cfg, ctrl, np.linspace(t / 200, t, 200)) > 0.0).all()
         assert clearance_at(cfg, ctrl, 0.081) < 0.0
+        assert not straight_runs(cfg, [(0.0, 0.0)], [t])[0]
         assert safe_straight_run(cfg, cfg.target, [t]) is None
 
-    def test_time_grid_is_linspace(self):
-        rng = np.random.default_rng(53)
-        t_end = np.concatenate([rng.uniform(1e-6, 10.0, 300), [1e-300, 1.0, 3.7]])
-        grid = run_times(t_end)
-        for t, row in zip(t_end, grid):
-            assert np.array_equal(row, np.linspace(t / SAFETY_SAMPLES, t,
-                                                   SAFETY_SAMPLES))
+    def test_target_of_the_dip_state_is_r2(self):
+        """The only winning run to the target dips into the defender's disc,
+        so the target is R_II, as the game's target run finds it."""
+        cfg = self.dip_cfg()
+        assert race(cfg, cfg.target) == [self.DIP["t"]]
+        assert classify_point(cfg, cfg.target) is RegionLabel.R_II
 
 
 class TestGoldenLabels:
@@ -496,24 +503,25 @@ class TestGoldenLabels:
         assert current[key] == golden[key]
 
     def test_r1_cells_have_a_certified_run(self, current):
-        """The labeller samples each straight run at 200 times; the game
-        checks a run with first_zero.  Every R_I cell of the maps has a
-        winning arrival time whose run first_zero finds safe."""
+        """A won cell (R_I or R_II) of the maps is R_I exactly when it is the
+        attacker's start or safe_straight_run accepts one of its winning
+        arrival times: the labeller and the game's target run share one rule."""
         doc = scenario_io.load(record.SCENARIOS / "special1.json")
         games = {"special1": (doc.scenario.cfg, doc.render.window,
                               doc.render.resolution)}
         for seed in record.SEEDED:
             games[f"seed{seed}"] = (*record._seeded_game(seed), record.SEEDED_RESOLUTION)
+        won = (record.LABEL_CODE[RegionLabel.R_I], record.LABEL_CODE[RegionLabel.R_II])
         for name, (cfg, (xmin, xmax, ymin, ymax), (nx, ny)) in games.items():
             xs, ys = np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
-            cells = [Vec2(float(xs[i]), float(ys[j]))
+            cells = [(Vec2(float(xs[i]), float(ys[j])), code == won[0])
                      for j, row in enumerate(current["maps"][name])
-                     for i, code in enumerate(row) if code == "1"]
-            assert cells, name
-            for p in cells:
+                     for i, code in enumerate(row) if code in won]
+            assert {r1 for _, r1 in cells} == {True, False}, name
+            for p, r1 in cells:
                 wins = race(cfg, p)
-                assert min(wins) <= 0.0 \
-                    or safe_straight_run(cfg, p, wins) is not None, (name, p)
+                assert r1 == (min(wins) <= 0.0
+                              or safe_straight_run(cfg, p, wins) is not None), (name, p)
 
     def test_every_label_occurs(self, golden):
         text = "".join("".join(rows) for rows in golden["maps"].values())

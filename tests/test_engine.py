@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from reachavoid import (AttackerPolicy, Control, DefenderPolicy, OutcomeKind,
-                        Scenario, Vec2, first_zero, propagate, r3_certificates,
-                        run, strategy_one, tangency_windows)
+                        Scenario, Vec2, first_zero, propagate, run,
+                        strategy_one, tangency_windows)
 import reachavoid.engine
 from reachavoid.engine import _dists
 from reachavoid.scenario_io import TRACE_COLUMNS, loads, trace_to_csv
@@ -274,7 +274,6 @@ class TestTraceRows:
         try:
             trace = run(sc)
             tangency_windows.cache_clear()
-            r3_certificates.cache_clear()
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
             rows = len(trace.rows)

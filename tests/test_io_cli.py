@@ -310,7 +310,6 @@ class TestSilence:
 
     def test_run_and_regions_write_nothing_unasked(self, tmp_path, capfd):
         tangency_windows.cache_clear()
-        r3_certificates.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for name in ("case1", "case2", "case3", "special1", "special2"):
