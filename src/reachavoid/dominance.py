@@ -38,11 +38,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (BOUNDARY_SLACK, Control, DomainError, PlayerParams,
-                       PlayerState, damped_time, isochron_xyr, steer_controls,
-                       steer_to)
+from .dynamics import (Control, DomainError, PlayerParams, PlayerState,
+                       damped_time, isochron_xyr, steer_controls, steer_to)
 from .geometry import Vec2, mapped, point_in_polygon, polygon_area, wrap_angle
-from .mrr import CLASSIFY_TOL, merge_roots, mrr_boundary
+from .mrr import CLASSIFY_TOL, merge_times, mrr_boundary
 from .scribe import (RootSet, ScribeMode, ScribeProblem, find_zero,
                      first_zero, reach_times, reach_times_many, scribe_times)
 
@@ -246,28 +245,20 @@ def capture_boundary(cfg: GameConfig, samples: int = SWEEP_SAMPLES) -> CaptureBo
     return CaptureBoundary(t_out=t_out, t_in=t_in, segments=tuple(segments))
 
 
-def matched_index(times: list[float], t: float, alignment: float) -> int:
-    """Reach-time index (0 outside the MRR, else 1..3) matched by time t.
-
-    `times` are a point's expanded reach times (a tangent root twice); nan
-    padding is skipped.  Double roots are disambiguated by the sign of the
-    arrival alignment (velocity dotted with heading): positive picks the
-    sweeping-outward slot {1, 3}, negative the middle slot 2.
+def matched_index(rows: np.ndarray, t: np.ndarray, alignment: np.ndarray) -> np.ndarray:
+    """Reach-time index (0 outside the MRR, else 1..3) that each time t[i]
+    matches in rows[i], a point's expanded reach times padded with nan: the
+    slot of the merged root nearest to t[i].  A root of multiplicity 2 or
+    more holds slots base..base+mult-1, base 1 or 2; the sign of the arrival
+    alignment (velocity dotted with heading) picks one: negative the middle
+    slot 2, else the sweeping-outward slot 1 or 3.
     """
-    merged = merge_roots((r, 1) for r in times if not math.isnan(r))
-    total = sum(m for _, m in merged)
-    if total <= 1:
-        return 0
-    best = min(range(len(merged)), key=lambda i: abs(merged[i][0] - t))
-    base = 1 + sum(m for _, m in merged[:best])
-    mult = merged[best][1]
-    if mult == 1:
-        return base
-    slots = list(range(base, base + mult))
-    if alignment < 0.0:
-        return 2 if 2 in slots else slots[0]
-    odd = [s for s in slots if s != 2]
-    return odd[0] if odd else slots[0]
+    times, mults = merge_times(rows)
+    # the columns of a merged root tie, so argmin picks its first column
+    best = np.where(mults > 0, np.abs(times - t[:, None]), np.inf).argmin(axis=1)
+    base, mult = best + 1, mults[np.arange(len(best)), best]
+    slot = np.where(mult == 1, base, np.where(alignment < 0.0, 2, 2 * base - 1))
+    return np.where((mults > 0).sum(axis=1) > 1, slot, 0)
 
 
 def arrival_alignment(state: PlayerState, params: PlayerParams, point: Vec2,
@@ -294,11 +285,9 @@ def _annotate_segment(cfg: GameConfig, seg: BoundarySegment) -> np.ndarray:
     """The defender's matched reach-time index at each vertex of L: one batch
     solve, one array pass of arrival_alignment (0 where steer_to rejects)."""
     state, params, t = cfg.defender, cfg.defender_params, seg.params
-    u, theta, dist, r = steer_controls(state, params, *seg.points.T, t)
-    ok = np.where(r > 0.0, dist <= r + BOUNDARY_SLACK, dist <= BOUNDARY_SLACK)
+    u, theta, ok = steer_controls(state, params, *seg.points.T, t)
     align = np.where(ok, _alignment(state, params, u, theta, t), 0.0)
-    rows = reach_times_many(seg.points, state, params).tolist()
-    return np.array(list(map(matched_index, rows, t.tolist(), align.tolist())), dtype=int)
+    return matched_index(reach_times_many(seg.points, state, params), t, align)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +418,8 @@ def _defender_time_split(segments, index_per_segment):
 
 
 def _probe_ok(cfg: GameConfig, probe: Vec2) -> bool:
-    texp = reach_times(probe, cfg.defender, cfg.defender_params).expanded()
-    if len(texp) < 3:
-        return False
-    t_a = reach_times(probe, cfg.attacker, cfg.attacker_params).first
-    return texp[0] < t_a < texp[1]
+    ea, ed = _reach_rows(cfg, probe)
+    return bool(_r3_timing(ea, ed, _race(ea, ed)[0]))
 
 
 def _polygon_probes(poly: np.ndarray) -> list[Vec2]:
@@ -547,8 +533,7 @@ def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     decides the rest, from the first failing pair to the last."""
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
     t = np.array(times, dtype=float)
-    u, theta, dist, r = steer_controls(cfg.attacker, cfg.attacker_params, x, y, t)
-    ok = np.where(r > 0.0, dist <= r + BOUNDARY_SLACK, dist <= BOUNDARY_SLACK)
+    u, theta, ok = steer_controls(cfg.attacker, cfg.attacker_params, x, y, t)
     hx, hy = np.cos(theta), np.sin(theta)
     lip = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
     grid = np.arange(SAFETY_SAMPLES + 1) / SAFETY_SAMPLES
@@ -589,14 +574,6 @@ def _reach_rows(cfg: GameConfig, point: Vec2, times=None) -> np.ndarray:
     return rows
 
 
-def _double(times: np.ndarray) -> np.ndarray:
-    """Rows of expanded times where merge_roots gives a root of multiplicity
-    2 or more: a tangent root, listed twice, or a root merged into its
-    predecessor."""
-    t0, t1, t2 = times.T
-    return (t1 - t0 <= CLASSIFY_TOL * (1.0 + t1)) | (t2 - t1 <= CLASSIFY_TOL * (1.0 + t2))
-
-
 def _race(ea, ed):
     """The merge tolerance, and which of the expanded attacker times `ea`
     win against the expanded defender times `ed` (see race).  Each is three
@@ -604,6 +581,13 @@ def _race(ea, ed):
     tol = CLASSIFY_TOL * (1.0 + np.minimum(ea[0], ed[0]))
     first, gap_lo, gap_hi = ed[0] - tol, ed[1] + tol, ed[2] - tol
     return tol, [(t < first) | ((gap_lo < t) & (t < gap_hi)) for t in ea]
+
+
+def _r3_timing(ea, ed, tol):
+    """R_III's timing test on columns of expanded times as _race takes them:
+    the defender has a third reach time, and the attacker's first lies in
+    (t_D1, t_D2) by more than the merge tolerance `tol`."""
+    return ~np.isnan(ed[2]) & (ed[0] + tol < ea[0]) & (ea[0] < ed[1] - tol)
 
 
 def race(cfg: GameConfig, point: Vec2, times=None) -> list[float]:
@@ -639,7 +623,9 @@ def _labels(cfg: GameConfig, pts: np.ndarray, atk: np.ndarray,
     # post-game geometry, not part of the capture boundary
     on_l = ((np.abs(ea[:, None] - ed[None]) <= tol)
             & (ea <= inn.first + tol)[:, None]).any(axis=(0, 1))
-    on_mrr = _double(atk) | _double(dfd)
+    # a double reach time: a tangent root, or times merged into one
+    on_mrr = ((merge_times(atk)[1] >= 2).any(axis=1)
+              | (merge_times(dfd)[1] >= 2).any(axis=1))
     undecided = ~(on_l | on_mrr)
     won = undecided & (wins[0] | wins[1] | wins[2])
     # an arrival at t = 0 means the attacker already stands on the point
@@ -649,8 +635,7 @@ def _labels(cfg: GameConfig, pts: np.ndarray, atk: np.ndarray,
         rows = np.nonzero(won & ~safe & w & (t > 0.0))[0]
         safe[rows] = straight_runs(cfg, pts[rows], t[rows])
     r3 = np.zeros(len(pts), dtype=bool)
-    timing = np.nonzero(undecided & ~won & ~np.isnan(ed[2])
-                        & (ed[0] + tol < ea[0]) & (ea[0] < ed[1] - tol))[0]
+    timing = np.nonzero(undecided & ~won & _r3_timing(ea, ed, tol))[0]
     if len(timing):
         comps = r3_certificates(cfg)
         for i in timing:

@@ -139,8 +139,9 @@ def isochron(state: PlayerState, params: PlayerParams, t: float) -> Isochron:
 
 def steer_controls(state: PlayerState, params: PlayerParams, x, y, t):
     """steer_to's formula for targets (x, y) reached at times t > 0, on floats
-    or 1-D arrays alike: (u, theta before wrapping, the target's distance from
-    the isochron center, the isochron radius); u, theta are 0 at radius <= 0."""
+    or 1-D arrays alike: (u, theta before wrapping, whether steer_to accepts
+    the target); u, theta are 0 at radius <= 0.  A target is accepted within
+    BOUNDARY_SLACK of the isochron disc, or of its center at radius <= 0."""
     s = (1.0 - mapped(math.exp, -params.mu * t)) / params.mu
     cx, cy, r = isochron_xyr(state, params, t, s)
     dist = mapped(math.hypot, x - cx, y - cy)
@@ -148,9 +149,12 @@ def steer_controls(state: PlayerState, params: PlayerParams, x, y, t):
     if isinstance(t, np.ndarray):
         thrust = r > 0.0
         u = np.minimum(params.u_max * dist / np.where(thrust, r, np.inf), params.u_max)
-        return u, np.where(thrust & (dist > 0.0), theta, 0.0), dist, r
-    u = min(params.u_max * dist / r, params.u_max) if r > 0.0 else 0.0
-    return u, theta if r > 0.0 and dist > 0.0 else 0.0, dist, r
+        ok = np.where(thrust, dist <= r + BOUNDARY_SLACK, dist <= BOUNDARY_SLACK)
+        return u, np.where(thrust & (dist > 0.0), theta, 0.0), ok
+    if r > 0.0:
+        return (min(params.u_max * dist / r, params.u_max), theta if dist > 0.0 else 0.0,
+                dist <= r + BOUNDARY_SLACK)
+    return 0.0, 0.0, dist <= BOUNDARY_SLACK
 
 
 def steer_to(state: PlayerState, params: PlayerParams, target: Vec2,
@@ -166,13 +170,8 @@ def steer_to(state: PlayerState, params: PlayerParams, target: Vec2,
             return Control(0.0, 0.0)
         raise InfeasibleTargetError(
             f"cannot reach {target} in non-positive time {t_f}")
-    u, theta, dist, radius = steer_controls(state, params, target.x, target.y, t_f)
-    if radius <= 0.0:
-        if dist > BOUNDARY_SLACK:
-            raise InfeasibleTargetError(
-                f"target {dist} away from drift point but max radius is 0 at t={t_f}")
-    elif dist > radius + BOUNDARY_SLACK:
+    u, theta, ok = steer_controls(state, params, target.x, target.y, t_f)
+    if not ok:
         raise InfeasibleTargetError(
-            f"target outside reachable disc at t={t_f}: "
-            f"distance {dist} > radius {radius}")
+            f"target {target} outside the reachable disc at t={t_f}")
     return Control(u, theta)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -187,42 +186,43 @@ def mrr_boundary(state: PlayerState, params: PlayerParams,
                        branch_i=branch_i, branch_ii=branch_ii)
 
 
+def merge_times(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The merge rule for reach times, on (N, 3) rows of expanded times padded
+    with nan: each column's merged time and the multiplicity of its merged
+    root (0 at padding).  In order, a time within CLASSIFY_TOL*(1+t) of the
+    last merged time joins it, and the two are replaced by their midpoint."""
+    t0, t1, t2 = rows.T
+    join1 = t1 - t0 <= CLASSIFY_TOL * (1.0 + t1)
+    last = np.where(join1, 0.5 * (t0 + t1), t1)
+    join2 = t2 - last <= CLASSIFY_TOL * (1.0 + t2)
+    m2 = np.where(join2, 0.5 * (last + t2), t2)
+    m1 = np.where(join2, m2, last)
+    c2 = np.where(join2, 2 + join1, 1)
+    c1 = np.where(join2, c2, 1 + join1)
+    times = np.column_stack([np.where(join1, m1, t0), m1, m2])
+    mults = np.column_stack([np.where(join1, c1, 1), c1, c2])
+    return times, np.where(np.isnan(rows), 0, mults)
+
+
+# ReachKind by the multiplicities of a point's merged reach times; two simple
+# roots occur only at a moving player's start (departure plus one swing back)
+_KINDS = {(1,): ReachKind.SINGLE, (2,): ReachKind.CUSP, (3,): ReachKind.CUSP,
+          (1, 1): ReachKind.BOUNDARY_I, (2, 1): ReachKind.BOUNDARY_I,
+          (1, 2): ReachKind.BOUNDARY_II, (1, 1, 1): ReachKind.TRIPLE}
+
+
 def classify(point: Vec2, state: PlayerState, params: PlayerParams) -> ReachClassification:
     """Label a point by how many distinct times the player can reach it.
 
-    Reach times closer than CLASSIFY_TOL*(1+t) merge, so points within the
-    merge tolerance of the MRR boundary resolve to the boundary labels rather
-    than to SINGLE or TRIPLE.
+    Reach times merge by `merge_times`, so points within the merge tolerance
+    of the MRR boundary resolve to the boundary labels rather than to SINGLE
+    or TRIPLE.
     """
-    roots = reach_times(point, state, params)
-    merged = merge_roots(zip(roots.times, roots.multiplicities))
-    times = tuple(t for t, _ in merged)
-    double = [m >= 2 for _, m in merged]
-    if len(merged) == 1:
-        if double[0]:
-            return ReachClassification(ReachKind.CUSP, times)
-        return ReachClassification(ReachKind.SINGLE, times)
-    if len(merged) == 2:
-        if double[0] and double[1]:
-            return ReachClassification(ReachKind.CUSP, times)
-        if double[0]:
-            return ReachClassification(ReachKind.BOUNDARY_I, times)
-        if double[1]:
-            return ReachClassification(ReachKind.BOUNDARY_II, times)
-        # two simple roots can only happen at the start point of a moving
-        # player (departure plus one swing back): treat as first-arc boundary
-        return ReachClassification(ReachKind.BOUNDARY_I, times)
-    return ReachClassification(ReachKind.TRIPLE, times)
-
-
-def merge_roots(pairs: Iterable[tuple[float, int]]) -> list[tuple[float, int]]:
-    """Ascending (time, multiplicity) pairs with reach times within
-    CLASSIFY_TOL*(1+t) merged."""
-    merged: list[tuple[float, int]] = []
-    for t, m in pairs:
-        if merged and t - merged[-1][0] <= CLASSIFY_TOL * (1.0 + t):
-            last_t, last_m = merged[-1]
-            merged[-1] = (0.5 * (last_t + t), last_m + m)
-        else:
-            merged.append((t, m))
-    return merged
+    row = np.full((1, 3), np.nan)
+    expanded = reach_times(point, state, params).expanded()
+    row[0, :len(expanded)] = expanded
+    times, mults = (a[0].tolist() for a in merge_times(row))
+    # the columns of one merged root repeat its time and multiplicity
+    merged = list(dict.fromkeys((t, m) for t, m in zip(times, mults) if m))
+    return ReachClassification(_KINDS[tuple(m for _, m in merged)],
+                               tuple(t for t, _ in merged))

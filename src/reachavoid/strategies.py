@@ -26,9 +26,9 @@ import numpy as np
 from .dynamics import (Control, InfeasibleTargetError, damped_time, propagate,
                        steer_to)
 from .dominance import (CROSSING_BAND, CROSSING_SAMPLES, BoundaryMinimum,
-                        GameConfig, arrival_alignment, boundary_minima,
-                        clearance_at, matched_index, r3_certificates, race,
-                        safe_straight_run)
+                        GameConfig, _reach_rows, arrival_alignment,
+                        boundary_minima, clearance_at, matched_index,
+                        r3_certificates, race, safe_straight_run)
 from .geometry import Vec2
 from .scribe import find_zero, reach_times
 
@@ -144,10 +144,9 @@ def hamiltonian_check(cfg: GameConfig, point: Vec2) -> Optional[bool]:
     the branch) must agree.  Returns None when either alignment degenerates,
     i.e. the time-field gradient does not exist at the point.
     """
-    ta = reach_times(point, cfg.attacker, cfg.attacker_params)
-    td = reach_times(point, cfg.defender, cfg.defender_params)
-    gapv, t_a, t_d = min((abs(t_a - t_d), t_a, t_d)
-                         for t_a in ta.expanded() for t_d in td.expanded())
+    rows = _reach_rows(cfg, point)
+    ea, ed = ([t for t in row if not math.isnan(t)] for row in rows.tolist())
+    gapv, t_a, t_d = min((abs(t_a - t_d), t_a, t_d) for t_a in ea for t_d in ed)
     t_match = 0.5 * (t_a + t_d)
     if gapv > 1e-6 * (1.0 + t_match):
         raise ValueError(f"point is not on the equal-time boundary "
@@ -158,8 +157,7 @@ def hamiltonian_check(cfg: GameConfig, point: Vec2) -> Optional[bool]:
                       cfg.defender_params.speed_cap)
     if abs(s_a) <= 1e-9 * speed_scale or abs(s_d) <= 1e-9 * speed_scale:
         return None
-    j = matched_index(ta.expanded(), t_a, s_a)
-    k = matched_index(td.expanded(), t_d, s_d)
+    j, k = matched_index(rows, np.array([t_a, t_d]), np.array([s_a, s_d])).tolist()
     compatible = (j == 2) == (k == 2)
     residual = abs(math.copysign(1.0, s_a) - math.copysign(1.0, s_d))
     return bool(compatible and residual <= H_RESIDUAL_TOL)

@@ -17,8 +17,8 @@ labels occur), region maps of two seeded moving-defender games, the sha256
 of special1's defender MRR polygon and the matched (attacker, defender)
 reach-time index pairs at special1's annotated L vertices.  The library
 annotates L for the defender only (`_annotate_segment`); the attacker's index
-comes from `vertex_indices` here, the per-vertex rule that the library's
-array pass replaced.  Labels are stored one character each (see LABEL_CODE),
+comes from `vertex_indices` here, vertex by vertex with the reference merge
+of tests/oracle.py, which the library's array pass does not share.  Labels are stored one character each (see LABEL_CODE),
 a grid as one string per row.
 
 `minima.json` holds `boundary_minima` (payoff, sweep time, side and point of
@@ -36,14 +36,14 @@ from pathlib import Path
 import numpy as np
 
 from conftest import make_cfg, random_player
+from oracle import matched_index
 from reachavoid import (AttackerPolicy, Control, DefenderPolicy, GameConfig,
                         GameTrace, PlayerParams, PlayerState, RegionLabel,
                         Scenario, Vec2, boundary_minima, capture_boundary,
                         classify_point, mrr_boundary, reach_times_many,
                         region_map, run, scenario_io)
 from reachavoid.dominance import (ANNOTATE_SAMPLES, BoundarySegment,
-                                  _annotate_segment, arrival_alignment,
-                                  matched_index)
+                                  _annotate_segment, arrival_alignment)
 from reachavoid.dynamics import DomainError, InfeasibleTargetError
 
 GOLDEN = Path(__file__).resolve().parent

@@ -18,12 +18,19 @@ conventions"): an extremum of the gap within TANGENCY_EPS * max(1, |dx|^2) of
 zero is one tangent root, listed twice; an inflection where both the gap and
 its slope are within the cusp bounds is the collapsed triple crossing, also
 listed twice.
+
+It also keeps the library's earlier merge of reach times as a reference for
+the array rule `mrr.merge_times`: `merge_roots` (a Python loop over
+(time, multiplicity) pairs), `matched_index` on one list of times and
+`reach_kind`, `classify`'s branches on the merged pairs.
 """
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 
 from reachavoid import PlayerState
+from reachavoid.mrr import CLASSIFY_TOL
 from reachavoid.scribe import CUSP_GAP_EPS, CUSP_SLOPE_EPS, TANGENCY_EPS
 
 DIGITS = 40
@@ -108,3 +115,47 @@ def tangency_times(attacker: PlayerState, u_a: float, defender: PlayerState,
                 roots.append(_bisect(gap, cuts[k], cuts[k + 1]))
         return sorted(float(t) for t in roots)
 
+
+def merge_roots(pairs):
+    """Ascending (time, multiplicity) pairs with reach times within
+    CLASSIFY_TOL*(1+t) merged."""
+    merged = []
+    for t, m in pairs:
+        if merged and t - merged[-1][0] <= CLASSIFY_TOL * (1.0 + t):
+            last_t, last_m = merged[-1]
+            merged[-1] = (0.5 * (last_t + t), last_m + m)
+        else:
+            merged.append((t, m))
+    return merged
+
+
+def matched_index(times: list[float], t: float, alignment: float) -> int:
+    """Reach-time index (0 outside the MRR, else 1..3) matched by time t in
+    one point's expanded reach times, nan padding skipped."""
+    merged = merge_roots((r, 1) for r in times if not math.isnan(r))
+    total = sum(m for _, m in merged)
+    if total <= 1:
+        return 0
+    best = min(range(len(merged)), key=lambda i: abs(merged[i][0] - t))
+    base = 1 + sum(m for _, m in merged[:best])
+    mult = merged[best][1]
+    if mult == 1:
+        return base
+    slots = list(range(base, base + mult))
+    if alignment < 0.0:
+        return 2 if 2 in slots else slots[0]
+    odd = [s for s in slots if s != 2]
+    return odd[0] if odd else slots[0]
+
+
+def reach_kind(merged) -> str:
+    """The name of classify's ReachKind for merged (time, multiplicity)
+    pairs."""
+    double = [m >= 2 for _, m in merged]
+    if len(merged) == 1:
+        return "CUSP" if double[0] else "SINGLE"
+    if len(merged) == 2:
+        if double[0] and double[1]:
+            return "CUSP"
+        return "BOUNDARY_II" if double[1] and not double[0] else "BOUNDARY_I"
+    return "TRIPLE"

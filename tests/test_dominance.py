@@ -220,7 +220,7 @@ class TestMatchedIndex:
         seg = capture_boundary(special1, ANNOTATE_SAMPLES).segments[0]
         x, y = np.concatenate([seg.points, rng.uniform(-1.5, 1.5, (500, 2))]).T
         t = np.concatenate([seg.params, rng.uniform(1e-3, 3.0, 500)])
-        u, theta, _, _ = steer_controls(st, par, x, y, t)
+        u, theta, _ = steer_controls(st, par, x, y, t)
         align = _alignment(st, par, u, theta, t)
         # propagate's terminal velocity along the heading, on floats
         ref = []
@@ -266,11 +266,11 @@ class TestMatchedIndex:
     def test_alignment_disambiguates_double_roots(self, params):
         st = PlayerState(Vec2(0, 0), Vec2(1, 0))
         x_s = Vec2(0.3068528194400547, 0.0)
-        times = reach_times(x_s, st, params).expanded()
+        rows = reach_times_many(np.array([[x_s.x, x_s.y]]), st, params)
         t_pair = math.log(2.0)
         s = arrival_alignment(st, params, x_s, t_pair)
-        idx = matched_index(times, t_pair, s)
-        assert idx in (2, 3)
+        idx = matched_index(rows, np.array([t_pair]), np.array([s]))
+        assert idx.tolist() in ([2], [3])
 
     def test_negative_time_is_a_domain_error(self, special1):
         # steer_to reaches the start at any t <= 0 and rejects other points

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from reachavoid import (Branch, Control, DomainError, PlayerParams,
-                        PlayerState, ReachKind, Vec2, barrier_time,
+                        PlayerState, ReachKind, RootSet, Vec2, barrier_time,
                         boundary_point, classify, cusp_time, mrr_boundary,
                         propagate, reach_times, steer_to)
+from reachavoid import mrr
+from reachavoid.dominance import matched_index
 from reachavoid.geometry import point_in_polygon
+from reachavoid.mrr import CLASSIFY_TOL, merge_times
 
+import oracle
 from conftest import random_player
 
 
@@ -319,3 +323,81 @@ class TestUnreachableWindow:
                 ctrl = steer_to(st, params, p, float(t))
                 landed = propagate(st, params, ctrl, float(t)).pos
                 assert (landed - p).norm() < 1e-9
+
+
+class TestMergeRule:
+    """The array merge rule against the Python merge of tests/oracle.py, on
+    seeded rows of expanded times whose gaps sit on the merge tolerance."""
+
+    N = 20_000
+    # gaps in units of 1 + t: a tangent root, well inside, just inside and
+    # twice the tolerance; a fifth choice sets the times far apart
+    GAPS = (0.0, 1e-9, 9.9e-9, 2e-8)
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = np.random.default_rng(2024)
+        rows, ts = np.full((self.N, 3), np.nan), np.empty(self.N)
+        for i, row in enumerate(rows):
+            # times on a grid of eighths, so that midpoints tie exactly
+            times = [rng.integers(1, 25) / 8]
+            for _ in range(rng.integers(0, 3)):
+                k = rng.integers(len(self.GAPS) + 1)
+                step = self.GAPS[k] * (1.0 + times[-1]) if k < len(self.GAPS) \
+                    else rng.integers(1, 9) / 8
+                times.append(times[-1] + step)
+            row[:len(times)] = times
+            merged = [t for t, _ in oracle.merge_roots((t, 1) for t in times)]
+            pick = rng.integers(3)
+            if pick == 0 and len(merged) > 1:
+                j = rng.integers(len(merged) - 1)
+                ts[i] = 0.5 * (merged[j] + merged[j + 1])  # equidistant
+            elif pick == 1:
+                ts[i] = rng.choice(merged) + rng.choice([0.0, -5e-9, 5e-9, 0.1])
+            else:
+                ts[i] = rng.uniform(0.0, 5.0)
+        # x - 0 equals the tolerance CLASSIFY_TOL * (1 + x) exactly: each
+        # comparison of the rule on its edge
+        x = CLASSIFY_TOL
+        while x != CLASSIFY_TOL * (1.0 + x):
+            x = CLASSIFY_TOL * (1.0 + x)
+        rows[:2] = [[0.0, x, np.nan], [0.0, 0.0, x]]
+        return rows, ts, rng.choice([-1.0, 0.0, 1.0], self.N)
+
+    def test_matched_index_equals_reference(self, cases):
+        rows, ts, align = cases
+        got = matched_index(rows, ts, align).tolist()
+        ref = [oracle.matched_index(r, t, a)
+               for r, t, a in zip(rows.tolist(), ts.tolist(), align.tolist())]
+        assert got == ref
+        assert set(ref) == {0, 1, 2, 3}
+
+    def test_double_root_equals_reference(self, cases):
+        rows = cases[0]
+        got = (merge_times(rows)[1] >= 2).any(axis=1).tolist()
+        ref = [any(m >= 2 for _, m in oracle.merge_roots(
+            (t, 1) for t in r if not math.isnan(t))) for r in rows.tolist()]
+        assert got == ref
+        assert 0 < sum(ref) < len(ref)
+
+    def test_classify_equals_reference(self, cases, monkeypatch):
+        # classify on each row's RootSet: equal times form a tangent root
+        sets = []
+        for r in cases[0].tolist():
+            times = [t for t in r if not math.isnan(t)]
+            keys = list(dict.fromkeys(times))
+            sets.append(RootSet(tuple(keys), tuple(times.count(t) for t in keys)))
+        monkeypatch.setattr(mrr, "reach_times", lambda i, state, params: sets[i])
+        corner = 0
+        for i, roots in enumerate(sets):
+            got = mrr.classify(i, None, None)
+            ref = oracle.merge_roots(zip(roots.times, roots.multiplicities))
+            assert got.kind.name == oracle.reach_kind(ref)
+            if got.times != tuple(t for t, _ in ref):
+                # a simple root merged into a later tangent root: the array
+                # rule merges the tangent root's two copies one by one
+                assert roots.multiplicities[:2] == (1, 2) and len(ref) == 1
+                t = ref[0][0]
+                assert abs(got.times[0] - t) <= CLASSIFY_TOL * (1.0 + t) / 2
+                corner += 1
+        assert corner > 0
