@@ -525,19 +525,28 @@ def _clearance(cfg: GameConfig, u, hx, hy):
 def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     """Whether the attacker's saturated straight run to points[i] (x, y pairs)
     arriving at times[i] > 0 under steer_to's control is never interceptable:
-    one boolean per run, False where steer_to rejects it.  Its clearance f
-    starts at |A_0 - D_0| > 0 and moves at most at lip = cap_A + cap_D.  An
-    array pass samples f at the times t k / SAFETY_SAMPLES, RUN_CHUNK runs at
-    a time: a sample <= 0 is unsafe, and a run whose neighbouring samples u, v
-    all pass first_zero's test f(u) + f(v) > lip (v - u) is safe.  first_zero
-    decides the rest, from the first failing pair to the last."""
+    one boolean per run, False where steer_to rejects it.  A run whose end
+    the defender's disc covers at arrival is unsafe: the defender can stand
+    there then (or, clamped by steer_to from up to BOUNDARY_SLACK outside the
+    attacker's disc, it may keep f(t) just above zero: the conservative side).
+    The other runs' clearance f starts at |A_0 - D_0| > 0 and moves at most
+    at lip = cap_A + cap_D.  An array pass samples f at the times
+    t k / SAFETY_SAMPLES, RUN_CHUNK runs at a time: a sample <= 0 is unsafe,
+    and a run whose neighbouring samples u, v all pass first_zero's test
+    f(u) + f(v) > lip (v - u) is safe.  first_zero decides the rest, from the
+    first failing pair to the last."""
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
     t = np.array(times, dtype=float)
+    safe = np.zeros(len(t), dtype=bool)
+    cx, cy, r = isochron_xyr(cfg.defender, cfg.defender_params, t, damped_time(cfg.mu, t))
+    rows = np.flatnonzero(np.hypot(x - cx, y - cy) > r)
+    if not len(rows):
+        return safe
+    x, y, t = x[rows], y[rows], t[rows]
     u, theta, ok = steer_controls(cfg.attacker, cfg.attacker_params, x, y, t)
     hx, hy = np.cos(theta), np.sin(theta)
     lip = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
     grid = np.arange(SAFETY_SAMPLES + 1) / SAFETY_SAMPLES
-    safe = np.zeros(len(t), dtype=bool)
     for lo in range(0, len(t), RUN_CHUNK):
         part = slice(lo, lo + RUN_CHUNK)
         ts = t[part, None] * grid
@@ -545,11 +554,11 @@ def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
         # the spacing is t / SAFETY_SAMPLES up to rounding, which lip's slack covers
         fails = f[:, :-1] + f[:, 1:] <= lip / SAFETY_SAMPLES * t[part, None]
         doubt = fails.any(axis=1)
-        safe[part] = ok[part] & ~doubt
+        safe[rows[part]] = ok[part] & ~doubt
         for i in np.flatnonzero(ok[part] & doubt & (f > 0.0).all(axis=1)).tolist():
             run = _clearance(cfg, float(u[lo + i]), float(hx[lo + i]), float(hy[lo + i]))
             j = np.flatnonzero(fails[i])
-            safe[lo + i] = first_zero(run, *ts[i, [j[0], j[-1] + 1]].tolist(), lip) is None
+            safe[rows[lo + i]] = first_zero(run, *ts[i, [j[0], j[-1] + 1]].tolist(), lip) is None
     return safe
 
 

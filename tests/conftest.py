@@ -34,6 +34,23 @@ def make_cfg(xa, va, xd, vd, u_a=U_ATTACKER, u_d=U_DEFENDER, mu=MU,
 
 
 @pytest.fixture
+def steer_controls_calls(monkeypatch) -> list:
+    """The argument tuples of every `steer_controls` call that `dominance`
+    makes (its straight runs' and L annotation's array passes, not
+    `steer_to`'s float calls) while the test runs."""
+    import reachavoid.dominance
+    calls = []
+    original = reachavoid.dominance.steer_controls
+
+    def steer_controls(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reachavoid.dominance, "steer_controls", steer_controls)
+    return calls
+
+
+@pytest.fixture
 def params():
     return PlayerParams(u_max=1.0, mu=1.0)
 

@@ -8,9 +8,9 @@ import pytest
 from reachavoid import (Control, DomainError, InfeasibleTargetError,
                         PlayerParams, PlayerState, R3Condition, RegionLabel, Vec2,
                         boundary_minima, capture_boundary, classify_point,
-                        mrr_boundary, propagate, r3_certificates, reach_times,
-                        reach_times_many, region_map, scenario_io, steer_to,
-                        tangency_windows)
+                        isochron, mrr_boundary, propagate, r3_certificates,
+                        reach_times, reach_times_many, region_map, scenario_io,
+                        steer_to, tangency_windows)
 from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, BoundarySegment,
                                   _active_intervals, _alignment,
                                   _annotate_segment,
@@ -422,7 +422,9 @@ class TestStraightRuns:
     @staticmethod
     def runs(cfg, rng, n):
         """n seeded (point, time) runs: mostly reachable points of the
-        attacker, and every tenth one out of its reach."""
+        attacker, every tenth one out of its reach, and every fifth one
+        (i % 5 == 2) at the defender's isochron center at t, an end the
+        defender's disc covers at arrival."""
         points, times = [], []
         for i in range(n):
             t = float(rng.uniform(0.02, 2.5))
@@ -431,6 +433,8 @@ class TestStraightRuns:
             p = propagate(cfg.attacker, cfg.attacker_params, ctrl, t).pos
             if i % 10 == 9:
                 p = p + Vec2(5.0, 0.0)
+            elif i % 5 == 2:
+                p = isochron(cfg.defender, cfg.defender_params, t).center
             points.append((p.x, p.y))
             times.append(t)
         return points, times
@@ -441,6 +445,7 @@ class TestStraightRuns:
             points, times = self.runs(cfg, rng, 2 * RUN_CHUNK + 60)
             safe = straight_runs(cfg, points, times)
             assert safe.dtype == bool and 0 < safe.sum() < len(safe)
+            assert not safe[2::5].any()
             for i, ((x, y), t) in enumerate(zip(points, times)):
                 assert straight_runs(cfg, [(x, y)], [t])[0] == safe[i]
                 try:
@@ -454,6 +459,17 @@ class TestStraightRuns:
                 assert safe[i] == (dense.min() > 0.0)
                 assert safe_straight_run(cfg, Vec2(x, y), [t]) == \
                     (ctrl if safe[i] else None)
+
+    def test_a_covered_end_is_unsafe_without_a_pass(self, steer_controls_calls, special1):
+        ts = [0.3, 1.0, 2.0]
+        centers = [isochron(special1.defender, special1.defender_params, t).center
+                   for t in ts]
+        assert not straight_runs(special1, [(c.x, c.y) for c in centers], ts).any()
+        assert not steer_controls_calls
+        # a coasting run with an open end reaches the array pass
+        c = isochron(special1.attacker, special1.attacker_params, 0.05).center
+        assert straight_runs(special1, [(c.x, c.y)], [0.05])[0]
+        assert len(steer_controls_calls) == 1
 
     # a step of a bench random game: the target run's clearance is positive
     # at the 200 samples t k / 200 (k = 1..200) but below zero for about

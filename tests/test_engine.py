@@ -433,3 +433,18 @@ class TestOneStepOneSolve:
         assert len(plans) == len(trace.rows) - 1
         assert set(plans.values()) == {1}
         assert solves and set(solves.values()) == {1}
+
+
+class TestTargetRunPasses:
+    """A target run whose end the defender's disc covers at arrival is
+    decided without sampling: `straight_runs` calls `steer_controls` only
+    for runs with an open end.  Pinned per bundled game are the calls of
+    `dominance.steer_controls`; special1's one call is `_annotate_segment`,
+    for the region strategy's certificate, and each of case3's is a target
+    run's array pass."""
+
+    @pytest.mark.parametrize("game, calls", [
+        ("case1", 0), ("case2", 0), ("case3", 3), ("special1", 1), ("special2", 0)])
+    def test_array_passes_per_bundled_game(self, steer_controls_calls, game, calls):
+        run(record.GAMES[game]())
+        assert len(steer_controls_calls) == calls
