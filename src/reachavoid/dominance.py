@@ -43,7 +43,7 @@ from .dynamics import (Control, DomainError, PlayerParams, PlayerState,
 from .geometry import Vec2, mapped, point_in_polygon, polygon_area, wrap_angle
 from .mrr import CLASSIFY_TOL, merge_times, mrr_boundary
 from .scribe import (RootSet, ScribeMode, ScribeProblem, find_zero,
-                     first_zero, reach_times, reach_times_many, scribe_times)
+                     first_zero, reach_times, reach_times_players, scribe_times)
 
 # default number of sweep samples along the full tangency window
 SWEEP_SAMPLES = 2048
@@ -281,13 +281,16 @@ def _alignment(state: PlayerState, params: PlayerParams, u, theta, t):
             + (state.vel.y * decay + a * (1.0 - decay) * hy) * hy)
 
 
-def _annotate_segment(cfg: GameConfig, seg: BoundarySegment) -> np.ndarray:
-    """The defender's matched reach-time index at each vertex of L: one batch
-    solve, one array pass of arrival_alignment (0 where steer_to rejects)."""
-    state, params, t = cfg.defender, cfg.defender_params, seg.params
-    u, theta, ok = steer_controls(state, params, *seg.points.T, t)
+def _annotate_segments(cfg: GameConfig, segments) -> list[np.ndarray]:
+    """The defender's matched reach-time index at the vertices of each segment
+    of L, from one batch solve and one alignment pass (0 where steer_to rejects)."""
+    state, params = cfg.defender, cfg.defender_params
+    pts = np.concatenate([seg.points for seg in segments])
+    t = np.concatenate([seg.params for seg in segments])
+    u, theta, ok = steer_controls(state, params, *pts.T, t)
     align = np.where(ok, _alignment(state, params, u, theta, t), 0.0)
-    return matched_index(reach_times_many(seg.points, state, params), t, align)
+    index = matched_index(reach_times_players(pts, [(state, params)])[0], t, align)
+    return np.split(index, np.cumsum([len(seg) for seg in segments])[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +389,7 @@ def _cond1_components(cfg: GameConfig) -> list[R3Component]:
     if len(outs) < 2 or outs[1] >= inn.first:
         return []
     t1, t2 = outs[0], outs[1]
-    # the thrustless path is the attacker's drift center; lip as in straight_runs
+    # the thrustless path is the attacker's drift center; lip: both speed caps
     lip = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
     if first_zero(_clearance(cfg, 0.0, 1.0, 0.0), t1, t2, lip) is not None:
         return []
@@ -437,7 +440,7 @@ def _cond2_components(cfg: GameConfig) -> list[R3Component]:
     if cfg.defender.vel.norm() == 0.0:
         return []
     segments = capture_boundary(cfg, ANNOTATE_SAMPLES).segments
-    runs = _defender_time_split(segments, [_annotate_segment(cfg, s) for s in segments])
+    runs = segments and _defender_time_split(segments, _annotate_segments(cfg, segments))
     if not runs:
         return []
     dmrr = mrr_boundary(cfg.defender, cfg.defender_params)
@@ -529,12 +532,15 @@ def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     the defender's disc covers at arrival is unsafe: the defender can stand
     there then (or, clamped by steer_to from up to BOUNDARY_SLACK outside the
     attacker's disc, it may keep f(t) just above zero: the conservative side).
-    The other runs' clearance f starts at |A_0 - D_0| > 0 and moves at most
-    at lip = cap_A + cap_D.  An array pass samples f at the times
+    The other runs' clearance f starts at |A_0 - D_0| > 0 and moves at time
+    tau at most at (|v_A0| + |v_D0|) e^(-mu tau) + (cap_A + cap_D)
+    (1 - e^(-mu tau)), both players' speed bounds, which is monotone and at
+    most cap_A + cap_D (all with SPEED_SLACK): lip, its larger value at
+    sample times u, v, bounds it between them.  An array pass samples f at
     t k / SAFETY_SAMPLES, RUN_CHUNK runs at a time: a sample <= 0 is unsafe,
-    and a run whose neighbouring samples u, v all pass first_zero's test
-    f(u) + f(v) > lip (v - u) is safe.  first_zero decides the rest, from the
-    first failing pair to the last."""
+    and a run whose pairs u, v all pass first_zero's test f(u) + f(v) >
+    lip (v - u), tried first with lip = cap_A + cap_D, is safe.  first_zero
+    decides the rest, from the first failing pair to the last, with their largest lip."""
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
     t = np.array(times, dtype=float)
     safe = np.zeros(len(t), dtype=bool)
@@ -545,20 +551,25 @@ def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     x, y, t = x[rows], y[rows], t[rows]
     u, theta, ok = steer_controls(cfg.attacker, cfg.attacker_params, x, y, t)
     hx, hy = np.cos(theta), np.sin(theta)
-    lip = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
+    v0 = (cfg.attacker.vel.norm() + cfg.defender.vel.norm()) * (1.0 + SPEED_SLACK)
+    cap = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
     grid = np.arange(SAFETY_SAMPLES + 1) / SAFETY_SAMPLES
     for lo in range(0, len(t), RUN_CHUNK):
         part = slice(lo, lo + RUN_CHUNK)
         ts = t[part, None] * grid
         f = _clearance(cfg, u[part, None], hx[part, None], hy[part, None])(ts)
-        # the spacing is t / SAFETY_SAMPLES up to rounding, which lip's slack covers
-        fails = f[:, :-1] + f[:, 1:] <= lip / SAFETY_SAMPLES * t[part, None]
-        doubt = fails.any(axis=1)
-        safe[rows[part]] = ok[part] & ~doubt
-        for i in np.flatnonzero(ok[part] & doubt & (f > 0.0).all(axis=1)).tolist():
+        # the spacing is t / SAFETY_SAMPLES up to rounding, which the slack covers
+        fails = f[:, :-1] + f[:, 1:] <= cap / SAFETY_SAMPLES * t[part, None]
+        safe[rows[part]] = ok[part] & ~fails.any(axis=1)
+        doubt = np.flatnonzero(ok[part] & fails.any(axis=1) & (f > 0.0).all(axis=1))
+        speed = cap - (cap - v0) * np.exp(-cfg.mu * ts[doubt])
+        lip = np.maximum(speed[:, :-1], speed[:, 1:])
+        fails = f[doubt, :-1] + f[doubt, 1:] <= lip / SAFETY_SAMPLES * t[lo + doubt, None]
+        for i, fail, lip_i in zip(doubt.tolist(), fails, lip):
             run = _clearance(cfg, float(u[lo + i]), float(hx[lo + i]), float(hy[lo + i]))
-            j = np.flatnonzero(fails[i])
-            safe[rows[lo + i]] = first_zero(run, *ts[i, [j[0], j[-1] + 1]].tolist(), lip) is None
+            j = np.flatnonzero(fail)
+            safe[rows[lo + i]] = not len(j) or first_zero(
+                run, *ts[i, [j[0], j[-1] + 1]].tolist(), float(lip_i[j].max())) is None
     return safe
 
 
@@ -663,9 +674,9 @@ def region_map(cfg: GameConfig, window: tuple[float, float, float, float],
     """Classify a uniform grid over `window` = (xmin, xmax, ymin, ymax).
 
     Returns (xs, ys, labels) with labels indexed [row][col] = [y][x].  Each
-    label equals classify_point's: the reach times of the whole grid come
-    from two batch solves, which equal the scalar ones bit for bit, and one
-    call of the labeller that classify_point makes for a single point.
+    label equals classify_point's: one batch solve, equal to the scalar ones
+    bit for bit, gives both players' reach times on the whole grid, and the
+    labeller makes one call, as classify_point does for a single point.
     """
     nx, ny = resolution
     if nx < 2 or ny < 2:
@@ -677,7 +688,6 @@ def region_map(cfg: GameConfig, window: tuple[float, float, float, float],
     ys = np.linspace(ymin, ymax, ny)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    flat = _labels(cfg, pts,
-                   reach_times_many(pts, cfg.attacker, cfg.attacker_params),
-                   reach_times_many(pts, cfg.defender, cfg.defender_params))
+    flat = _labels(cfg, pts, *reach_times_players(pts, [
+        (cfg.attacker, cfg.attacker_params), (cfg.defender, cfg.defender_params)]))
     return xs, ys, [flat[j * nx:(j + 1) * nx] for j in range(ny)]

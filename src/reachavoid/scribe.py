@@ -21,8 +21,8 @@ of two adjacent floats.
 Reach times of a static point reduce to the same solver by treating the point
 as a zero-thrust player parked there.
 
-`scribe_times_batch` runs the same case split and root steps on a whole batch
-of problems as masked numpy, for region-map grids.  It evaluates the same gap
+`scribe_times_batch` runs the same case split and root steps on a batch of
+problems as masked numpy, one root loop per stage.  It evaluates the same gap
 functions on arrays and keeps every problem's own stopping rules, so each of
 its results equals the scalar `scribe_times` bit for bit, whichever problems
 share the batch.  The gap uses np.exp, which rounds the same on a float and
@@ -397,27 +397,22 @@ def reach_times(point: Vec2, state: PlayerState,
     return scribe_times(problem)
 
 
-
-def _find_zero_many(f, p: ScribeBatch, lo: np.ndarray,
-                    hi: Optional[np.ndarray] = None,
-                    expand_start: Optional[np.ndarray] = None,
-                    expand_cap: Optional[np.ndarray] = None) -> np.ndarray:
-    """find_zero(lambda t: f(p[i], t), ...) for every problem i of batch p.
-
-    Each element follows the scalar steps and stopping rules on its own, so
-    its result is the scalar one; nan where find_zero returns None.
-    """
+def _find_zero_many(f, p: ScribeBatch, lo: np.ndarray, hi: np.ndarray,
+                    start: np.ndarray) -> np.ndarray:
+    """find_zero(lambda t: f(p[i], t), lo[i], hi[i], expand_start=start[i],
+    expand_cap=p.cap[i]) for every problem i of batch p, a nan hi[i] standing
+    for None: each element keeps its own upper end or expands from its own
+    start, and follows the scalar steps and stopping rules on its own, so its
+    result is the scalar one; nan where find_zero returns None."""
     flo = f(p, lo)
-    if hi is None:
-        hi = np.maximum(expand_start, 2.0 * lo)
-        fhi = f(p, hi)
-        grow = ~(flo * fhi <= 0.0) & (hi < expand_cap)
-        while grow.any():
-            hi = np.where(grow, np.minimum(2.0 * hi, expand_cap * 1.0000001), hi)
-            fhi = np.where(grow, f(p, hi), fhi)
-            grow &= ~(flo * fhi <= 0.0) & (hi < expand_cap)
-    else:
-        fhi = f(p, hi)
+    grow = np.isnan(hi)
+    hi = np.where(grow, np.maximum(start, 2.0 * lo), hi)
+    fhi = f(p, hi)
+    grow &= ~(flo * fhi <= 0.0) & (hi < p.cap)
+    while grow.any():
+        hi = np.where(grow, np.minimum(2.0 * hi, p.cap * 1.0000001), hi)
+        fhi = np.where(grow, f(p, hi), fhi)
+        grow &= ~(flo * fhi <= 0.0) & (hi < p.cap)
     root = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, np.nan))
     live = (flo * fhi <= 0.0) & np.isnan(root)
     a, fa, b, fb, t = lo, flo, hi, fhi, np.full(len(lo), 0.5)
@@ -452,13 +447,14 @@ def scribe_times_batch(batch: ScribeBatch) -> np.ndarray:
     """scribe_times of every problem of the batch, bit for bit.
 
     Returns (N, 3) times: row i is scribe_times(problem i).expanded(), padded
-    with nan.  The case split of scribe_times runs as masks; every branch
-    that ends in a root solve joins one of five masked find_zero calls.
+    with nan.  The case split of scribe_times runs as masks, one masked
+    find_zero loop per stage: gap'' for the inflection, gap' for t_lo and
+    t_hi, and gap for the first, middle, last and single crossings.
     """
     n = len(batch)
     times = np.full((n, 3), np.nan)
     nan = np.full(n, np.nan)
-    mu, cap, scale = batch.mu, batch.cap, batch.scale
+    mu, scale = batch.mu, batch.scale
     t0 = 1e-13 / mu
 
     def put(sel, cols):
@@ -469,14 +465,13 @@ def scribe_times_batch(batch: ScribeBatch) -> np.ndarray:
             times[np.flatnonzero(ok), k[ok]] = t[ok]
             k[ok] += 1
 
-    def solve(f, sel, lo, hi=None, start=None):
-        # one masked find_zero over the rows `sel`; nan elsewhere
-        out = nan.copy()
-        idx = np.flatnonzero(sel)
-        if len(idx):
-            out[idx] = _find_zero_many(
-                f, batch.take(idx), lo[idx], None if hi is None else hi[idx],
-                None if start is None else start[idx], cap[idx])
+    def solve(f, *jobs):
+        # one masked find_zero over every job's rows (sel, lo, hi, start; a
+        # nan hi expands from start): a row of times per job, nan off its rows
+        sel, lo, hi, start = map(np.array, zip(*jobs))
+        out, idx = np.full(sel.shape, np.nan), np.nonzero(sel)
+        if len(idx[0]):
+            out[idx] = _find_zero_many(f, batch.take(idx[1]), lo[idx], hi[idx], start[idx])
         return out
 
     # rows owed scribe_times's one(lo): the single crossing after one_lo
@@ -487,7 +482,7 @@ def scribe_times_batch(batch: ScribeBatch) -> np.ndarray:
 
     wiggle = ~(batch.dv2 + mu * batch.dxdv < 0.0) & ~(batch.dxdv > 0.0)
     one(~wiggle, t0)
-    t_infl = solve(gap_d2, wiggle, t0, start=1.0 / mu)
+    t_infl, = solve(gap_d2, (wiggle, t0, nan, 1.0 / mu))
     w = wiggle & ~np.isnan(t_infl)
     one(wiggle & ~w, t0)
     g1_infl, g_infl = nan.copy(), nan.copy()
@@ -502,8 +497,9 @@ def scribe_times_batch(batch: ScribeBatch) -> np.ndarray:
 
     g1_t0 = nan.copy()
     g1_t0[w] = gap_d1(batch.take(w), t0[w])
-    t_lo = np.where(w & (g1_t0 < 0.0), solve(gap_d1, w & (g1_t0 < 0.0), t0, t_infl), t0)
-    t_hi = solve(gap_d1, w, t_infl, start=2.0 * t_infl)
+    t_lo, t_hi = solve(gap_d1, (w & (g1_t0 < 0.0), t0, t_infl, nan),
+                       (w, t_infl, nan, 2.0 * t_infl))
+    t_lo = np.where(w & (g1_t0 < 0.0), t_lo, t0)
     lost = w & (np.isnan(t_lo) | np.isnan(t_hi))
     one(lost, t0)
     w &= ~lost
@@ -523,10 +519,10 @@ def scribe_times_batch(batch: ScribeBatch) -> np.ndarray:
     falls = w & (g_hi < 0.0)        # a single early crossing
     w &= ~falls                     # three simple crossings
 
-    first = solve(gap, (hi_flat & (g_lo < 0.0)) | falls | w, t0, t_lo)
-    middle = solve(gap, w, t_lo, t_hi)
-    last = solve(gap, (lo_flat & (g_hi > 0.0)) | w, t_hi, start=2.0 * t_hi)
-    single = solve(gap, ~np.isnan(one_lo), one_lo, start=1.0 / mu)
+    first, middle, last, single = solve(
+        gap, ((hi_flat & (g_lo < 0.0)) | falls | w, t0, t_lo, nan), (w, t_lo, t_hi, nan),
+        ((lo_flat & (g_hi > 0.0)) | w, t_hi, nan, 2.0 * t_hi),
+        (~np.isnan(one_lo), one_lo, nan, 1.0 / mu))
     put(lo_flat, [t_lo, t_lo, last])
     put(hi_flat, [first, t_hi, t_hi])
     put(falls, [first])
@@ -538,30 +534,34 @@ def scribe_times_batch(batch: ScribeBatch) -> np.ndarray:
     return times
 
 
-def reach_times_many(points, state: PlayerState,
-                     params: PlayerParams) -> np.ndarray:
+def reach_times_many(points, state: PlayerState, params: PlayerParams) -> np.ndarray:
     """reach_times of every point of an (N, 2) array, bit for bit, as the
     (N, 3) nan-padded expanded times of scribe_times_batch."""
+    return reach_times_players(points, [(state, params)])[0]
+
+
+def reach_times_players(points, players) -> np.ndarray:
+    """reach_times_many of the points for each (state, params) of `players`,
+    as one (len(players), N, 3) array from one scribe_times_batch call."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    dx = pts[:, 0] - state.pos.x
-    dy = pts[:, 1] - state.pos.y
-    dist = mapped(math.hypot, dx, dy)
-    home = dist <= 1e-14
-    # the phantom problem of reach_times: delta_v = -vel, u_a = 0
-    vx, vy = -state.vel.x, -state.vel.y
-    mu = params.mu
-    rc = _radius_coeff(0.0, params.u_max, mu, ScribeMode.CIRCUMSCRIBE)
-    vn = math.hypot(vx, vy)
-    far = np.flatnonzero(~home)
-    dx2 = dx * dx + dy * dy
-    shared = np.ones(len(far))
-    batch = ScribeBatch(mu=mu * shared, dx2=dx2[far], dv2=(vx * vx + vy * vy) * shared,
-                        dxdv=(dx * vx + dy * vy)[far], radius_coeff=rc * shared,
-                        cap=_bracket_cap(mu, rc, dist[far], vn) * shared,
-                        scale=np.maximum(1.0, dx2[far]))
-    times = np.full((len(pts), 3), np.nan)
-    times[far] = scribe_times_batch(batch)
-    for i in np.flatnonzero(home):
-        roots = reach_times(Vec2(pts[i, 0], pts[i, 1]), state, params).expanded()
-        times[i, :len(roots)] = roots
+    far, columns = [], []
+    for state, params in players:
+        dx, dy = pts[:, 0] - state.pos.x, pts[:, 1] - state.pos.y
+        dist = mapped(math.hypot, dx, dy)
+        far.append(~(dist <= 1e-14))
+        # the phantom problem of reach_times: delta_v = -vel, u_a = 0
+        vx, vy, mu = -state.vel.x, -state.vel.y, params.mu
+        rc = _radius_coeff(0.0, params.u_max, mu, ScribeMode.CIRCUMSCRIBE)
+        dx2 = (dx * dx + dy * dy)[far[-1]]
+        shared = np.ones(len(dx2))
+        columns.append((mu * shared, dx2, (vx * vx + vy * vy) * shared,
+                        (dx * vx + dy * vy)[far[-1]], rc * shared,
+                        _bracket_cap(mu, rc, dist[far[-1]], math.hypot(vx, vy)) * shared,
+                        np.maximum(1.0, dx2)))
+    times = np.full((len(players), len(pts), 3), np.nan)
+    far = np.array(far)
+    times[far] = scribe_times_batch(ScribeBatch(*map(np.concatenate, zip(*columns))))
+    for k, i in zip(*np.nonzero(~far)):
+        roots = reach_times(Vec2(pts[i, 0], pts[i, 1]), *players[k]).expanded()
+        times[k, i, :len(roots)] = roots
     return times

@@ -16,7 +16,7 @@ L and of the MRR polygons of special1 and case2 (the only places boundary
 labels occur), region maps of two seeded moving-defender games, the sha256
 of special1's defender MRR polygon and the matched (attacker, defender)
 reach-time index pairs at special1's annotated L vertices.  The library
-annotates L for the defender only (`_annotate_segment`); the attacker's index
+annotates L for the defender only (`_annotate_segments`); the attacker's index
 comes from `vertex_indices` here, vertex by vertex with the reference merge
 of tests/oracle.py, which the library's array pass does not share.  Labels are stored one character each (see LABEL_CODE),
 a grid as one string per row.
@@ -43,7 +43,7 @@ from reachavoid import (AttackerPolicy, Control, DefenderPolicy, GameConfig,
                         classify_point, mrr_boundary, reach_times_many,
                         region_map, run, scenario_io)
 from reachavoid.dominance import (ANNOTATE_SAMPLES, BoundarySegment,
-                                  _annotate_segment, arrival_alignment)
+                                  _annotate_segments, arrival_alignment)
 from reachavoid.dynamics import DomainError, InfeasibleTargetError
 
 GOLDEN = Path(__file__).resolve().parent
@@ -189,8 +189,8 @@ def label_snapshot() -> dict:
         "special1_defender_mrr_sha256": hashlib.sha256(poly.tobytes()).hexdigest(),
         "special1_pair_indices": [
             np.column_stack([vertex_indices(seg, s1.attacker, s1.attacker_params),
-                             _annotate_segment(s1, seg)]).tolist()
-            for seg in segments],
+                             index]).tolist()
+            for seg, index in zip(segments, _annotate_segments(s1, segments))],
     }
 
 

@@ -7,13 +7,14 @@ import pytest
 
 from reachavoid import (Control, DomainError, InfeasibleTargetError,
                         PlayerParams, PlayerState, R3Condition, RegionLabel, Vec2,
-                        boundary_minima, capture_boundary, classify_point,
+                        boundary_minima, capture_boundary, classify_point, first_zero,
                         isochron, mrr_boundary, propagate, r3_certificates,
                         reach_times, reach_times_many, region_map, scenario_io,
                         steer_to, tangency_windows)
-from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, BoundarySegment,
+from reachavoid import dominance, scribe
+from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, SPEED_SLACK, BoundarySegment,
                                   _active_intervals, _alignment,
-                                  _annotate_segment,
+                                  _annotate_segments,
                                   _dip_candidates, _l_point,
                                   arrival_alignment,
                                   clearance_at, intersection_points,
@@ -207,7 +208,7 @@ class TestOrderFlip:
 class TestMatchedIndex:
     def test_indices_along_annotated_boundary(self, special1):
         cb = capture_boundary(special1, ANNOTATE_SAMPLES)
-        ks = np.concatenate([_annotate_segment(special1, seg) for seg in cb.segments])
+        ks = np.concatenate(_annotate_segments(special1, cb.segments))
         # the defender's middle-time piece exists in this geometry
         assert (ks == 2).sum() > 50
         assert set(np.unique(ks)).issubset({0, 1, 2, 3})
@@ -258,8 +259,8 @@ class TestMatchedIndex:
             except InfeasibleTargetError:
                 rejected += 1
         assert rejected >= 2
-        for seg in segments:
-            index = _annotate_segment(cfg, seg)
+        # all segments in one batch, the extra one included
+        for seg, index in zip(segments, _annotate_segments(cfg, segments)):
             assert index.shape == (len(seg),)
             assert index.tolist() == record.vertex_indices(seg, st, par)
 
@@ -368,6 +369,19 @@ class TestRegionMap:
             for i in range(7):
                 assert lab1[j][i] is lab2[2 * j][2 * i]
 
+    def test_one_batch_solve_and_three_loops_per_map(self, case2, monkeypatch):
+        """Both players' reach times of the grid come from one batch solve,
+        which makes one masked find_zero loop per stage of its case split."""
+        sizes, loops = [], []
+        solve, many = scribe.scribe_times_batch, scribe._find_zero_many
+        monkeypatch.setattr(scribe, "scribe_times_batch",
+                            lambda batch: sizes.append(len(batch)) or solve(batch))
+        monkeypatch.setattr(scribe, "_find_zero_many",
+                            lambda f, *args: loops.append(f) or many(f, *args))
+        region_map(case2, (-2.0, 2.0, -1.5, 1.5), (20, 15))
+        assert sizes == [2 * 20 * 15]
+        assert len(loops) == 3
+
     def test_labels_equal_per_point_classification(self, special1):
         # region_map labels from batch reach times; classify_point from
         # scalar ones.  The seeded game's window has the attacker's own
@@ -470,6 +484,55 @@ class TestStraightRuns:
         c = isochron(special1.attacker, special1.attacker_params, 0.05).center
         assert straight_runs(special1, [(c.x, c.y)], [0.05])[0]
         assert len(steer_controls_calls) == 1
+
+    def test_clearance_moves_no_faster_than_the_speed_bound(self):
+        """The slope bound of straight_runs: on seeded states with |v_0|
+        below and at the speed caps, a finite-difference scan of a run's
+        clearance at step 1e-4 never exceeds (|v_A0| + |v_D0|) e^(-mu t) +
+        (cap_A + cap_D) (1 - e^(-mu t)) at the larger end of the step, with
+        SPEED_SLACK; head-on players at their caps attain it."""
+        rng = np.random.default_rng(63)
+
+        def player(cap, frac):
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            return rng.uniform(-2.0, 2.0, 2), (frac * cap * math.cos(ang),
+                                               frac * cap * math.sin(ang))
+
+        cases = []
+        for i in range(40):
+            mu, u_a = rng.uniform(0.4, 2.5), rng.uniform(0.2, 1.0)
+            u_d = u_a * rng.uniform(1.1, 2.5)
+            frac = 1.0 if i % 2 else rng.uniform(0.0, 1.0)
+            cfg = make_cfg(*player(u_a / mu, frac), *player(u_d / mu, frac),
+                           u_a=u_a, u_d=u_d, mu=mu)
+            ctrl = Control(u_a * (1.0 if i % 3 else rng.uniform()),
+                           rng.uniform(0.0, 2.0 * math.pi))
+            cases.append((cfg, ctrl, rng.uniform(0.5, 3.0)))
+        # head on at the caps: the clearance falls at exactly cap_A + cap_D
+        cases.append((make_cfg((-2.0, 0.0), (1.0, 0.0), (2.0, 0.0), (-2.0, 0.0)),
+                      Control(1.0, 0.0), 0.5))
+        worst = 0.0
+        for cfg, ctrl, t in cases:
+            ts = np.arange(0.0, t, 1e-4)
+            slope = np.abs(np.diff(clearance_at(cfg, ctrl, ts))) / np.diff(ts)
+            v0 = cfg.attacker.vel.norm() + cfg.defender.vel.norm()
+            cap = cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap
+            decay = np.exp(-cfg.mu * ts)
+            bound = (v0 * decay + cap * (1.0 - decay)) * (1.0 + SPEED_SLACK)
+            ratio = slope / np.maximum(bound[:-1], bound[1:])
+            assert ratio.max() <= 1.0
+            worst = max(worst, ratio.max())
+        assert worst > 0.999
+
+    def test_special1_map_sends_93_runs_to_first_zero(self, monkeypatch):
+        """special1's bundled map leaves 93 of its runs to first_zero (143
+        with the bound cap_A + cap_D for every sample pair)."""
+        calls = []
+        monkeypatch.setattr(dominance, "first_zero",
+                            lambda *args: calls.append(args) or first_zero(*args))
+        doc = scenario_io.load(record.SCENARIOS / "special1.json")
+        region_map(doc.scenario.cfg, doc.render.window, doc.render.resolution)
+        assert len(calls) == 93
 
     # a step of a bench random game: the target run's clearance is positive
     # at the 200 samples t k / 200 (k = 1..200) but below zero for about

@@ -439,7 +439,7 @@ class TestTargetRunPasses:
     """A target run whose end the defender's disc covers at arrival is
     decided without sampling: `straight_runs` calls `steer_controls` only
     for runs with an open end.  Pinned per bundled game are the calls of
-    `dominance.steer_controls`; special1's one call is `_annotate_segment`,
+    `dominance.steer_controls`; special1's one call is `_annotate_segments`,
     for the region strategy's certificate, and each of case3's is a target
     run's array pass."""
 

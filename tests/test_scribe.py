@@ -13,7 +13,7 @@ from reachavoid import (Branch, Control, PlayerParams, PlayerState, RootSet,
                         scribe_times, scribe_times_batch)
 from reachavoid import scribe
 from reachavoid.scenario_io import load
-from reachavoid.scribe import ROOT_TOL, gap_d1, gap_d2
+from reachavoid.scribe import ROOT_TOL, gap_d1, gap_d2, reach_times_players
 
 from conftest import random_player
 
@@ -396,6 +396,43 @@ class TestBatch:
         kinds = {r.multiplicities for r in ref}
         assert {(1, 2), (2, 1), (2,), (1, 1, 1)} <= kinds
         assert_rows_equal(batch_roots(problems), ref)
+
+    def test_each_stage_of_the_case_split_is_one_loop(self, params, special1, overtake,
+                                                      monkeypatch):
+        """A batch in which each of the case split's seven root solves (the
+        inflection, t_lo, t_hi, and the first, middle, last and single
+        crossings) has rows makes three masked find_zero loops: gap'' for
+        the inflection, gap' for t_lo and t_hi, gap for every crossing."""
+        problems = [p for p, _ in tangent_and_cusp_cases(params, special1, overtake)]
+        problems += oracle_problems()
+        ref = [scribe_times(p) for p in problems]
+        assert {(1,), (2,), (1, 2), (2, 1), (1, 1, 1)} <= {r.multiplicities for r in ref}
+        loops = []
+        many = scribe._find_zero_many
+        monkeypatch.setattr(scribe, "_find_zero_many",
+                            lambda f, *args: loops.append(f) or many(f, *args))
+        assert_rows_equal(batch_roots(problems), ref)
+        assert loops == [gap_d2, gap_d1, gap]
+
+    def test_both_players_in_one_batch(self, special1, monkeypatch):
+        """reach_times_players solves both players' phantom problems in one
+        batch; each player's rows equal its one-player batch's and the
+        scalar reach times."""
+        rng = np.random.default_rng(33)
+        players = [(special1.attacker, special1.attacker_params),
+                   (special1.defender, special1.defender_params)]
+        pts = np.concatenate([rng.uniform(-1.5, 1.5, (150, 2)),
+                              [(st.pos.x, st.pos.y) for st, _ in players]])
+        sizes = []
+        solve = scribe.scribe_times_batch
+        monkeypatch.setattr(scribe, "scribe_times_batch",
+                            lambda batch: sizes.append(len(batch)) or solve(batch))
+        both = reach_times_players(pts, players)
+        # each player's own position takes reach_times' t = 0 branch instead
+        assert sizes == [2 * len(pts) - 2]
+        for rows, (st, par) in zip(both, players):
+            assert np.array_equal(rows, reach_times_many(pts, st, par), equal_nan=True)
+            assert_rows_equal(rows, [reach_times(Vec2(*p), st, par) for p in pts])
 
     def test_result_does_not_depend_on_the_batch(self):
         problems = oracle_problems(60)
