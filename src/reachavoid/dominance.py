@@ -436,6 +436,15 @@ def _polygon_probes(poly: np.ndarray) -> list[Vec2]:
     return probes
 
 
+def _is_pocket(cfg: GameConfig, loop: np.ndarray) -> bool:
+    """A closed loop certifies a pocket: it has an area, some probe lies
+    inside it, and every inside probe passes the R_III timing test."""
+    if len(loop) < 4 or abs(polygon_area(loop)) < 1e-12:
+        return False
+    inside = [p for p in _polygon_probes(loop) if point_in_polygon((p.x, p.y), loop)]
+    return bool(inside) and all(_probe_ok(cfg, p) for p in inside)
+
+
 def _cond2_components(cfg: GameConfig) -> list[R3Component]:
     if cfg.defender.vel.norm() == 0.0:
         return []
@@ -443,53 +452,23 @@ def _cond2_components(cfg: GameConfig) -> list[R3Component]:
     runs = segments and _defender_time_split(segments, _annotate_segments(cfg, segments))
     if not runs:
         return []
-    dmrr = mrr_boundary(cfg.defender, cfg.defender_params)
-    ring = dmrr.polygon()
-    # candidate loops: each run closed through an arc of the region ring
-    components: list[R3Component] = []
-    used = np.zeros(len(runs), dtype=bool)
-    endpoints = []
-    for run in runs:
-        i0 = int(np.argmin(np.hypot(*(ring - run[0]).T)))
-        i1 = int(np.argmin(np.hypot(*(ring - run[-1]).T)))
-        endpoints.append((i0, i1))
-
-    def try_loop(order: list[int], direction_flags: list[bool]) -> Optional[np.ndarray]:
-        pieces = []
-        for pos, ridx in enumerate(order):
-            run = runs[ridx]
-            pieces.append(run)
-            exit_idx = endpoints[ridx][1]
-            next_ridx = order[(pos + 1) % len(order)]
-            entry_idx = endpoints[next_ridx][0]
-            arc = _ring_cut(ring, exit_idx, entry_idx, direction_flags[pos])
-            pieces.append(arc)
-        loop = np.vstack(pieces)
-        if len(loop) < 4 or abs(polygon_area(loop)) < 1e-12:
-            return None
-        probes = _polygon_probes(loop)
-        inside = [p for p in probes if point_in_polygon((p.x, p.y), loop)]
-        if not inside:
-            return None
-        if all(_probe_ok(cfg, p) for p in inside):
-            return loop
-        return None
-
-    n = len(runs)
-    orders = [list(perm) for k in range(1, n + 1)
-              for perm in itertools.permutations(range(n), k)]
-    for order in orders:
-        if any(used[i] for i in order):
-            continue
-        found = None
-        for flags in itertools.product((True, False), repeat=len(order)):
-            found = try_loop(order, list(flags))
-            if found is not None:
-                break
-        if found is not None:
-            for i in order:
-                used[i] = True
-            components.append(R3Component(R3Condition.POCKET_BEHIND_MRR, found))
+    ring = mrr_boundary(cfg.defender, cfg.defender_params).polygon()
+    # each run meets the region ring at the vertices nearest its two ends
+    ends = [[int(np.argmin(np.hypot(*(ring - run[e]).T))) for e in (0, -1)] for run in runs]
+    components, used, n = [], set(), len(runs)
+    # candidate loops, fewest runs first: each run closed to the next by an arc of the ring
+    for k in range(1, n + 1):
+        for order in itertools.permutations(range(n), k):
+            if used.intersection(order):
+                continue
+            succ = order[1:] + order[:1]
+            for flags in itertools.product((True, False), repeat=k):
+                loop = np.vstack([piece for r, s, fwd in zip(order, succ, flags) for piece in
+                                  (runs[r], _ring_cut(ring, ends[r][1], ends[s][0], fwd))])
+                if _is_pocket(cfg, loop):
+                    used.update(order)
+                    components.append(R3Component(R3Condition.POCKET_BEHIND_MRR, loop))
+                    break
     return components
 
 

@@ -468,10 +468,13 @@ def scribe_times_batch(batch: ScribeBatch) -> np.ndarray:
     def solve(f, *jobs):
         # one masked find_zero over every job's rows (sel, lo, hi, start; a
         # nan hi expands from start): a row of times per job, nan off its rows
-        sel, lo, hi, start = map(np.array, zip(*jobs))
-        out, idx = np.full(sel.shape, np.nan), np.nonzero(sel)
-        if len(idx[0]):
-            out[idx] = _find_zero_many(f, batch.take(idx[1]), lo[idx], hi[idx], start[idx])
+        rows = [np.flatnonzero(job[0]) for job in jobs]
+        idx, out = np.concatenate(rows), np.full((len(jobs), n), np.nan)
+        if len(idx):
+            lo, hi, start = (np.concatenate([job[k][r] for job, r in zip(jobs, rows)])
+                             for k in (1, 2, 3))
+            out[np.repeat(np.arange(len(jobs)), [len(r) for r in rows]), idx] = \
+                _find_zero_many(f, batch.take(idx), lo, hi, start)
         return out
 
     # rows owed scribe_times's one(lo): the single crossing after one_lo

@@ -269,34 +269,29 @@ def first_unsafe_crossing(cfg: GameConfig, ctrl: Control,
 def best_r3_point(cfg: GameConfig) -> Optional[tuple[Vec2, float, Control]]:
     """Best certified third-region point: (point, arrival time, reduced control).
 
-    Scans the certified component boundaries for the vertex closest to the
-    target, keeps only vertices the attacker can actually serve (its saturated
-    arrival precedes the defender's middle time), and returns the matched-time
-    reduced-thrust control.  None when no component exists.
+    A component's pick is the first of its 40 vertices nearest the target that
+    the attacker can serve: the defender has three reach times, the attacker's
+    saturated arrival t_A <= t_D2 + 1e-9 (absolute; not `_r3_timing`, ROADMAP
+    item 6), and `steer_to` reaches the vertex at t_D2.  Returns the pick
+    nearest the target, the earlier component's on a tie; None if none.
     """
-    comps = r3_certificates(cfg)
-    best = None
-    for comp in comps:
+    picks = []
+    for comp in r3_certificates(cfg):
         poly = comp.polygon
         d = np.hypot(poly[:, 0] - cfg.target.x, poly[:, 1] - cfg.target.y)
         for i in np.argsort(d)[:40]:
             p = Vec2(float(poly[i, 0]), float(poly[i, 1]))
             td = reach_times(p, cfg.defender, cfg.defender_params).expanded()
-            if len(td) < 3:
-                continue
-            t_d2 = td[1]
-            ta = reach_times(p, cfg.attacker, cfg.attacker_params).first
-            if ta > t_d2 + 1e-9:
+            if len(td) < 3 or reach_times(p, cfg.attacker,
+                                          cfg.attacker_params).first > td[1] + 1e-9:
                 continue
             try:
-                ctrl = steer_to(cfg.attacker, cfg.attacker_params, p, t_d2)
+                ctrl = steer_to(cfg.attacker, cfg.attacker_params, p, td[1])
             except InfeasibleTargetError:
                 continue
-            cand = (float(d[i]), p, t_d2, ctrl)
-            if best is None or cand[0] < best[0]:
-                best = cand
-            break  # vertices are sorted by payoff; first feasible one wins
-    return None if best is None else best[1:]
+            picks.append((float(d[i]), p, td[1], ctrl))
+            break  # vertices are sorted by distance; the first servable one is the pick
+    return min(picks, key=lambda pick: pick[0])[1:] if picks else None
 
 
 def choose_plan(cfg: GameConfig, previous: Optional[Vec2],

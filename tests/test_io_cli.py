@@ -330,6 +330,8 @@ class TestPinnedDigests:
         ("special1", "a70e9de92f5760c959fc662e6c242c7626ab45de44fb8037cfb65a7c01a0c4c6"),
         ("seed37", "6128801713cf25d28414a09c2c7bbd0b1665876831bf843f8d78473b6aaeb448"),
         ("seed77", "8c508c49b30f87c0072348521b8092164f13c8d7c1c3739159d2bbde171e94b5"),
+        # seed140 (two runs, one pocket) was recorded after the array passes
+        ("seed140", "79efdd9a921691112d29b634e5d892ee562328f03fbbe87201c66c0bcb60c05f"),
     ])
     def test_r3_certificate_polygons(self, game, digest):
         cfg = (record._seeded_game(int(game[4:]))[0] if game.startswith("seed")

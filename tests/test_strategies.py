@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reachavoid.engine
+from golden import record
 from golden.record import GAMES
 from reachavoid import (AttackerWinsError, Control, InfeasibleTargetError,
                         PlayerParams, PlayerState, Vec2, apollonius_circle,
@@ -126,6 +127,25 @@ class TestMrrStrategy:
             circ.radius, (point - circ.center).angle())
         ctrl = steer_to(special1.attacker, special1.attacker_params, edge, t_arr)
         assert ctrl.u == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("game, picked", [
+        ("special1", (-0.22388347546658338, 0.01342464189396416, 0.6001814403602471,
+                      0.6628433677129427, 5.709921028785019)),
+        ("seed37", (0.3232045330908009, 0.17072796303108767, 0.5625215677718471,
+                    1.0, 0.2758136836353387)),
+        ("seed77", (0.20090890437937925, 0.09726511213925339, 0.3421624176618482,
+                    1.0, 3.368983028002623)),
+        ("seed140", (0.18511484835183775, 0.5373726824399934, 0.5656253384236716,
+                     0.9999999998547828, 1.8061699547775756)),
+        ("seed181", (0.2596268528279363, 0.07227815967756891, 0.07385012490163724,
+                     0.9999999995631126, 2.594234092951092)),
+    ])
+    def test_pinned_picks(self, special1, game, picked):
+        # (x, y, arrival time, u, theta) under best_r3_point's own timing rule
+        # (t_A <= t_D2 + 1e-9); sharing `_r3_timing` moves the four seeds
+        cfg = special1 if game == "special1" else record._seeded_game(int(game[4:]))[0]
+        point, t_arr, ctrl = best_r3_point(cfg)
+        assert (point.x, point.y, t_arr, ctrl.u, ctrl.theta) == picked
 
 
 class TestPurePursuit:
