@@ -34,7 +34,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -552,15 +551,6 @@ def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     return safe
 
 
-def safe_straight_run(cfg: GameConfig, point: Vec2,
-                      times: list[float]) -> Optional[Control]:
-    """steer_to's control of the first positive time in `times` whose run to
-    `point` straight_runs finds safe; None when there is none."""
-    xy = [(point.x, point.y)]
-    return next((steer_to(cfg.attacker, cfg.attacker_params, point, t) for t in times
-                 if t > 0.0 and straight_runs(cfg, xy, [t])[0]), None)
-
-
 def _reach_rows(cfg: GameConfig, point: Vec2, times=None) -> np.ndarray:
     """The attacker's and the defender's reach times at `point` (`times`, if
     already solved): a (2, 3) array of expanded times padded with nan, as
@@ -630,7 +620,7 @@ def _labels(cfg: GameConfig, pts: np.ndarray, atk: np.ndarray,
     # an arrival at t = 0 means the attacker already stands on the point
     safe = won & np.any([w & (t <= 0.0) for t, w in zip(ea, wins)], axis=0)
     for t, w in zip(ea, wins):
-        # each cell's winning times in order, as safe_straight_run tries them
+        # each cell's winning times in order, as can_reach_target tries them
         rows = np.nonzero(won & ~safe & w & (t > 0.0))[0]
         safe[rows] = straight_runs(cfg, pts[rows], t[rows])
     r3 = np.zeros(len(pts), dtype=bool)

@@ -205,9 +205,6 @@ class _PlanTracker:
     step: Optional[_Step] = None
     mrr_target: Optional[tuple[Vec2, float]] = None
     mrr_failed: bool = False
-    # last applied heading per player, kept by pure pursuit at a standstill
-    heading: dict = field(default_factory=lambda: {"attacker": 0.0,
-                                                   "defender": 0.0})
     target_mode: bool = False
     switches: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -343,10 +340,7 @@ def _act(who: str, policy, cfg: GameConfig, sc: Scenario, t: float,
     except (AttackerWinsError, InfeasibleTargetError) as exc:
         tracker.notes.append(f"t={t:.6f} {who} plan failed ({exc}); pure pursuit")
         ctrl = None
-    if ctrl is None:
-        ctrl = pure_pursuit(cfg, who, tracker.heading[who])
-    tracker.heading[who] = ctrl.theta
-    return ctrl
+    return pure_pursuit(cfg, who) if ctrl is None else ctrl
 
 
 def _dists(cfg: GameConfig, a: PlayerState, d: PlayerState, ca: Control,

@@ -46,6 +46,7 @@ class ReachKind(enum.Enum):
     BOUNDARY_I = "boundary_i"
     BOUNDARY_II = "boundary_ii"
     CUSP = "cusp"
+    UNREACHED = "unreached"
 
 
 @dataclass(frozen=True)
@@ -206,9 +207,10 @@ def merge_times(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # ReachKind by the multiplicities of a point's merged reach times; two simple
 # roots occur only at a moving player's start (departure plus one swing back)
-_KINDS = {(1,): ReachKind.SINGLE, (2,): ReachKind.CUSP, (3,): ReachKind.CUSP,
-          (1, 1): ReachKind.BOUNDARY_I, (2, 1): ReachKind.BOUNDARY_I,
-          (1, 2): ReachKind.BOUNDARY_II, (1, 1, 1): ReachKind.TRIPLE}
+_KINDS = {(): ReachKind.UNREACHED, (1,): ReachKind.SINGLE, (2,): ReachKind.CUSP,
+          (3,): ReachKind.CUSP, (1, 1): ReachKind.BOUNDARY_I,
+          (2, 1): ReachKind.BOUNDARY_I, (1, 2): ReachKind.BOUNDARY_II,
+          (1, 1, 1): ReachKind.TRIPLE}
 
 
 def classify(point: Vec2, state: PlayerState, params: PlayerParams) -> ReachClassification:

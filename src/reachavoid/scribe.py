@@ -164,7 +164,7 @@ class RootSet:
 
     @property
     def first(self) -> float:
-        return self.times[0]
+        return self.times[0] if self.times else math.inf
 
     def expanded(self) -> list[float]:
         """Times repeated by multiplicity, sorted ascending."""
@@ -295,10 +295,12 @@ def first_zero(f: Callable[[float], float], a: float, b: float,
 def scribe_times(p: ScribeProblem) -> RootSet:
     """All positive tangency times of the two isochron families.
 
-    Guaranteed to return between one and three times, each solved to
-    ROOT_TOL.  Exact tangencies of the gap at an interior extremum are
-    reported once with multiplicity 2.
+    One to three times, each solved to ROOT_TOL, or none where the gap is
+    constant (no thrust, no drift).  Exact tangencies of the gap at an
+    interior extremum are reported once with multiplicity 2.
     """
+    if p.radius_coeff == 0.0 and p.dv2 == 0.0:
+        return RootSet((), ())
     mu, cap, scale = p.mu, p.cap, p.scale
     g = lambda t: gap(p, t)
     g1 = lambda t: gap_d1(p, t)
@@ -531,7 +533,7 @@ def scribe_times_batch(batch: ScribeBatch) -> np.ndarray:
     put(falls, [first])
     put(w, [first, middle, last])
     put(~np.isnan(one_lo), [single])
-    if np.isnan(times[:, 0]).any():
+    if (np.isnan(times[:, 0]) & ((batch.radius_coeff > 0.0) | (batch.dv2 > 0.0))).any():
         raise RuntimeError("gap function never changed sign; "
                            "bracket cap too small for this problem")
     return times

@@ -25,10 +25,10 @@ import numpy as np
 
 from .dynamics import (Control, InfeasibleTargetError, damped_time, propagate,
                        steer_to)
-from .dominance import (CROSSING_BAND, CROSSING_SAMPLES, BoundaryMinimum,
-                        GameConfig, _reach_rows, arrival_alignment,
-                        boundary_minima, clearance_at, matched_index,
-                        r3_certificates, race, safe_straight_run)
+from .dominance import (CROSSING_BAND, CROSSING_SAMPLES, GameConfig,
+                        _reach_rows, arrival_alignment, boundary_minima,
+                        clearance_at, matched_index, r3_certificates, race,
+                        straight_runs)
 from .geometry import Vec2
 from .scribe import find_zero, reach_times
 
@@ -102,12 +102,6 @@ def costate_record(cfg: GameConfig, plan: TerminalPlan, t: Optional[float] = Non
     )
 
 
-def target_in_adr(cfg: GameConfig, times=None) -> bool:
-    """True when the attacker out-races the defender to the target itself.
-    `times` are both players' expanded reach times there, if already solved."""
-    return bool(race(cfg, cfg.target, times))
-
-
 def plan_for_point(cfg: GameConfig, point: Vec2, t_f: float,
                    check_h: bool = True) -> TerminalPlan:
     """Saturated equal-time plan for a given boundary point at sweep time t_f."""
@@ -131,8 +125,8 @@ def strategy_one(cfg: GameConfig) -> TerminalPlan:
     dominance region (the game of kind is already decided), and
     InfeasibleTargetError when no boundary dip exists at all.
     """
-    best = _select_minimum(cfg, None, PLAN_SWITCH_MARGIN)
-    return plan_for_point(cfg, best.point, best.t)
+    plan = choose_plan(cfg, None)
+    return plan_for_point(cfg, plan.point, plan.t_f)
 
 
 def hamiltonian_check(cfg: GameConfig, point: Vec2) -> Optional[bool]:
@@ -163,13 +157,11 @@ def hamiltonian_check(cfg: GameConfig, point: Vec2) -> Optional[bool]:
     return bool(compatible and residual <= H_RESIDUAL_TOL)
 
 
-def pure_pursuit(cfg: GameConfig, who: str,
-                 fallback_heading: float = 0.0) -> Control:
+def pure_pursuit(cfg: GameConfig, who: str) -> Control:
     """Saturated thrust straight at the instantaneous goal.
 
-    The attacker aims at the target, the defender at the attacker.  When the
-    two reference points coincide the previous heading is kept (passed in by
-    the caller; policies are pure functions).
+    The attacker aims at the target, the defender at the attacker; heading 0
+    when the two coincide, which lies inside a terminal ball of the game.
     """
     if who == "attacker":
         offset = cfg.target - cfg.attacker.pos
@@ -180,7 +172,7 @@ def pure_pursuit(cfg: GameConfig, who: str,
     else:
         raise ValueError(f"unknown player {who!r}")
     if offset.norm() == 0.0:
-        return Control(u, fallback_heading)
+        return Control(u, 0.0)
     return Control(u, offset.angle())
 
 
@@ -229,11 +221,13 @@ def can_reach_target(cfg: GameConfig, times=None) -> Optional[Control]:
     Tries each arrival time of the target in increasing order (`times`, the
     attacker's expanded reach times there, solved here if not given) and
     returns the first control whose whole path stays clear of the defender's
-    reachable disc; None when no such run exists yet.
+    reachable disc (`straight_runs`); None when no such run exists yet.
     """
     if times is None:
         times = reach_times(cfg.target, cfg.attacker, cfg.attacker_params).expanded()
-    return safe_straight_run(cfg, cfg.target, times)
+    xy = [(cfg.target.x, cfg.target.y)]
+    return next((steer_to(cfg.attacker, cfg.attacker_params, cfg.target, t) for t in times
+                 if t > 0.0 and straight_runs(cfg, xy, [t])[0]), None)
 
 
 def first_unsafe_crossing(cfg: GameConfig, ctrl: Control,
@@ -304,16 +298,9 @@ def choose_plan(cfg: GameConfig, previous: Optional[Vec2],
     keeps tracking the dip nearest the previous plan point and jumps to the
     global best only when it improves by `switch_margin`.  `target_times`,
     both players' expanded reach times at the target, skips their solves.
+    Raises as `strategy_one` does; the plan skips the Hamiltonian check.
     """
-    chosen = _select_minimum(cfg, previous, switch_margin, target_times)
-    return plan_for_point(cfg, chosen.point, chosen.t, check_h=False)
-
-
-def _select_minimum(cfg: GameConfig, previous: Optional[Vec2],
-                    switch_margin: float, target_times=None) -> BoundaryMinimum:
-    """The boundary dip to plan for: the one nearest `previous`, unless the
-    best dip beats it by `switch_margin`.  Raises as `strategy_one` does."""
-    if target_in_adr(cfg, target_times):
+    if race(cfg, cfg.target, target_times):
         raise AttackerWinsError(
             "target is attacker-dominated; steer for the target instead")
     minima = boundary_minima(cfg)
@@ -324,4 +311,4 @@ def _select_minimum(cfg: GameConfig, previous: Optional[Vec2],
         tracked = min(minima, key=lambda m: (m.point - previous).norm())
         if minima[0].payoff >= tracked.payoff - switch_margin:
             chosen = tracked
-    return chosen
+    return plan_for_point(cfg, chosen.point, chosen.t, check_h=False)

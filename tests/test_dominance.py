@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from reachavoid import (Control, DomainError, InfeasibleTargetError,
                         PlayerParams, PlayerState, R3Condition, RegionLabel, Vec2,
-                        boundary_minima, capture_boundary, classify_point, first_zero,
+                        boundary_minima, can_reach_target, capture_boundary,
+                        classify_point, first_zero,
                         isochron, mrr_boundary, propagate, r3_certificates,
                         reach_times, reach_times_many, region_map, scenario_io,
                         steer_to, tangency_windows)
@@ -19,7 +21,7 @@ from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, SPEED_SLACK, Boun
                                   arrival_alignment,
                                   clearance_at, intersection_points,
                                   matched_index, race,
-                                  safe_straight_run, straight_runs)
+                                  straight_runs)
 from reachavoid.dynamics import steer_controls
 from reachavoid.geometry import point_in_polygon
 
@@ -467,11 +469,11 @@ class TestStraightRuns:
                                     Vec2(x, y), t)
                 except InfeasibleTargetError:
                     assert not safe[i]
-                    assert safe_straight_run(cfg, Vec2(x, y), [t]) is None
+                    assert can_reach_target(replace(cfg, target=Vec2(x, y)), [t]) is None
                     continue
                 dense = clearance_at(cfg, ctrl, np.linspace(0.0, t, 4001))
                 assert safe[i] == (dense.min() > 0.0)
-                assert safe_straight_run(cfg, Vec2(x, y), [t]) == \
+                assert can_reach_target(replace(cfg, target=Vec2(x, y)), [t]) == \
                     (ctrl if safe[i] else None)
 
     def test_a_covered_end_is_unsafe_without_a_pass(self, steer_controls_calls, special1):
@@ -553,7 +555,7 @@ class TestStraightRuns:
         assert (clearance_at(cfg, ctrl, np.linspace(t / 200, t, 200)) > 0.0).all()
         assert clearance_at(cfg, ctrl, 0.081) < 0.0
         assert not straight_runs(cfg, [(0.0, 0.0)], [t])[0]
-        assert safe_straight_run(cfg, cfg.target, [t]) is None
+        assert can_reach_target(cfg, [t]) is None
 
     def test_target_of_the_dip_state_is_r2(self):
         """The only winning run to the target dips into the defender's disc,
@@ -583,8 +585,9 @@ class TestGoldenLabels:
 
     def test_r1_cells_have_a_certified_run(self, current):
         """A won cell (R_I or R_II) of the maps is R_I exactly when it is the
-        attacker's start or safe_straight_run accepts one of its winning
-        arrival times: the labeller and the game's target run share one rule."""
+        attacker's start or can_reach_target, with the cell as the target,
+        accepts one of its winning arrival times: the labeller and the game's
+        target run share one rule."""
         doc = scenario_io.load(record.SCENARIOS / "special1.json")
         games = {"special1": (doc.scenario.cfg, doc.render.window,
                               doc.render.resolution)}
@@ -600,7 +603,8 @@ class TestGoldenLabels:
             for p, r1 in cells:
                 wins = race(cfg, p)
                 assert r1 == (min(wins) <= 0.0
-                              or safe_straight_run(cfg, p, wins) is not None), (name, p)
+                              or can_reach_target(replace(cfg, target=p), wins)
+                              is not None), (name, p)
 
     def test_every_label_occurs(self, golden):
         text = "".join("".join(rows) for rows in golden["maps"].values())

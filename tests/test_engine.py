@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from reachavoid import (AttackerPolicy, Control, DefenderPolicy, OutcomeKind,
-                        Scenario, Vec2, first_zero, propagate, run,
-                        strategy_one, tangency_windows)
+                        Scenario, Vec2, best_r3_point, first_zero, propagate,
+                        run, strategy_one, tangency_windows)
 import reachavoid.engine
 from reachavoid.engine import _dists
 from reachavoid.scenario_io import TRACE_COLUMNS, loads, trace_to_csv
@@ -170,6 +170,17 @@ class TestTerminalEvents:
                              defender_policy=DefenderPolicy.PURE_PURSUIT))
         assert trace.outcome.kind is OutcomeKind.CAPTURED
         assert trace.outcome.t == pytest.approx(1.53123, abs=1e-5)
+
+    def test_a_thrustless_attacker_under_strategy_i_is_captured(self):
+        # the attacker reaches no point but its own: no race, no target run
+        # and no boundary, so both plans fail every step and pursuit captures
+        cfg = make_cfg((1.0, 0.5), (0.0, 0.0), (-0.5, 0.0), (0.0, 0.0),
+                       u_a=0.0, u_d=1.0)
+        trace = run(Scenario(cfg=cfg))
+        assert trace.outcome.kind is OutcomeKind.CAPTURED
+        assert trace.outcome.t == pytest.approx(2.49352, abs=1e-5)
+        assert all("plan failed" in note for note in trace.notes)
+        assert best_r3_point(cfg) is None
 
     def test_one_search_per_step(self, monkeypatch, case2):
         calls = []

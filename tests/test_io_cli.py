@@ -304,6 +304,30 @@ class TestLowDamping:
         assert main([command, str(path), "--out", str(tmp_path), *extra]) == 0
 
 
+class TestThrustlessAttacker:
+    """An attacker with u_max = 0 at rest reaches no point but its own."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        doc = minimal_doc()
+        doc["players"] = {
+            "attacker": {"pos": [1.0, 0.5], "vel": [0.0, 0.0], "u_max": 0.0},
+            "defender": {"pos": [-0.5, 0.0], "vel": [0.0, 0.0], "u_max": 1.0},
+        }
+        path = tmp_path / "thrustless.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_simulate_ends_captured(self, path, tmp_path, capsys):
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out.startswith("captured t=2.493520")
+
+    def test_regions_are_all_defender(self, path, tmp_path, capsys):
+        assert main(["regions", str(path), "--out", str(tmp_path / "o"),
+                     "--resolution", "16x16"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "defender=256"
+
+
 class TestSilence:
     """Callers read the library's output streams: `run` prints nothing, and
     neither a game nor a region map writes to stderr or warns."""

@@ -131,6 +131,11 @@ class TestClassify:
                 continue
             assert classify(p, st, params).kind is ReachKind.SINGLE
 
+    def test_thrustless_rest_player_reaches_nothing_else(self):
+        st = PlayerState(Vec2(0.5, -0.5), Vec2(0, 0))
+        got = classify(Vec2(0.0, 0.0), st, PlayerParams(u_max=0.0, mu=1.0))
+        assert (got.kind, got.times) == (ReachKind.UNREACHED, ())
+
     def test_barrier_point_is_second_arc(self, params):
         st = PlayerState(Vec2(0, 0), Vec2(1, 0))
         t_s = barrier_time(st, params)

@@ -260,6 +260,17 @@ class TestReachTimes:
         roots = reach_times(Vec2(0.4, 0.2), st, params)
         assert roots.times == (0.0,)
 
+    def test_thrustless_player_at_rest_reaches_only_its_position(self):
+        """No thrust and no drift: the gap is constant, so no time reaches
+        another point; the batch leaves those rows nan."""
+        st, par = PlayerState(Vec2(1.0, 0.5), Vec2(0.0, 0.0)), PlayerParams(0.0, 1.0)
+        empty = reach_times(Vec2(0.0, 0.0), st, par)
+        assert (empty.times, empty.first) == ((), math.inf)
+        assert reach_times(st.pos, st, par).times == (0.0,)
+        rows = reach_times_many([(0.0, 0.0), (1.0, 0.5), (-3.0, 2.0)], st, par)
+        assert np.array_equal(rows, [[np.nan] * 3, [0.0, np.nan, np.nan], [np.nan] * 3],
+                              equal_nan=True)
+
     def test_own_position_moving_player_swings_back(self, params):
         st = PlayerState(Vec2(0.0, 0.0), Vec2(1.0, 0.0))
         roots = reach_times(Vec2(0.0, 0.0), st, params)

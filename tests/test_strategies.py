@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,6 +165,16 @@ class TestPurePursuit:
     def test_unknown_player_rejected(self, case3):
         with pytest.raises(ValueError):
             pure_pursuit(case3, "bystander")
+
+    def test_zero_offset_heads_at_zero(self):
+        """A pursuer on its goal (inside a terminal ball, where the game has
+        already ended) thrusts at heading 0, whatever its previous heading."""
+        cfg = make_cfg((1.0, 2.0), (0.5, -0.5), (-1.0, 0.0), (0, 0), target=(1.0, 2.0))
+        assert pure_pursuit(cfg, "attacker") == Control(1.0, 0.0)
+        # GameConfig rejects coinciding players; pure_pursuit reads these fields only
+        on_attacker = SimpleNamespace(attacker=cfg.attacker, defender=cfg.attacker,
+                                      defender_params=cfg.defender_params)
+        assert pure_pursuit(on_attacker, "defender") == Control(2.0, 0.0)
 
 
 class TestApolloniusPlan:
