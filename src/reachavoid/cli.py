@@ -23,7 +23,7 @@ from pathlib import Path
 from . import scenario_io, svgplot
 from .dominance import capture_boundary, region_map
 from .engine import run
-from .mrr import barrier_time, cusp_time, mrr_boundary
+from .mrr import mrr_boundary
 from .scenario_io import SchemaError
 from .scribe import ScribeMode, scribe_times
 
@@ -140,10 +140,8 @@ def cmd_mrr(args) -> int:
     if state.vel.norm() == 0.0:
         print(f"{args.player} starts at rest: the region is empty")
         return 0
-    t_s = barrier_time(state, params)
-    t_u = cusp_time(state, params)
-    print(f"barrier_time={t_s:.10f} cusp_time={t_u:.10f}")
     boundary = mrr_boundary(state, params)
+    print(f"barrier_time={boundary.t_s:.10f} cusp_time={boundary.t_u:.10f}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     poly = boundary.polygon()

@@ -38,7 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import (Control, DomainError, PlayerParams, PlayerState,
-                       damped_time, isochron_xyr, steer_controls, steer_to)
+                       damped_time, isochron_xyr, path_xy, steer_controls, steer_to,
+                       velocity_xy)
 from .geometry import Vec2, mapped, point_in_polygon, polygon_area, wrap_angle
 from .mrr import CLASSIFY_TOL, merge_times, mrr_boundary
 from .scribe import (RootSet, ScribeMode, ScribeProblem, find_zero,
@@ -54,8 +55,8 @@ SAFETY_SAMPLES = 200
 CROSSING_SAMPLES = 800
 # |clearance| that the scan evaluates again on floats, per unit of run length
 CROSSING_BAND = 1e-9
-# straight runs evaluated together; bounds the (runs, SAFETY_SAMPLES + 1) arrays
-RUN_CHUNK = 128
+# straight runs evaluated together; keeps each (runs, SAFETY_SAMPLES + 1) array near 100 kB
+RUN_CHUNK = 64
 # relative slack of GameConfig's speed check; the margins' slope bounds carry it
 SPEED_SLACK = 1e-9
 
@@ -272,12 +273,10 @@ def arrival_alignment(state: PlayerState, params: PlayerParams, point: Vec2,
 def _alignment(state: PlayerState, params: PlayerParams, u, theta, t):
     """propagate's terminal velocity at t under thrust u along the heading
     theta, dotted with the heading; floats or 1-D arrays alike."""
-    decay = mapped(math.exp, -params.mu * t)
-    a = u / params.mu
     heading = wrap_angle(theta)
     hx, hy = mapped(math.cos, heading), mapped(math.sin, heading)
-    return ((state.vel.x * decay + a * (1.0 - decay) * hx) * hx
-            + (state.vel.y * decay + a * (1.0 - decay) * hy) * hy)
+    vx, vy = velocity_xy(state, params, u, hx, hy, mapped(math.exp, -params.mu * t))
+    return vx * hx + vy * hy
 
 
 def _annotate_segments(cfg: GameConfig, segments) -> list[np.ndarray]:
@@ -487,19 +486,14 @@ def clearance_at(cfg: GameConfig, ctrl: Control, t):
 
 def _clearance(cfg: GameConfig, u, hx, hy):
     """clearance_at under thrust u along (hx, hy) as a function of t (floats,
-    or columns against a 2-D t, one run per row), in the operations of
-    path_xy and isochron_xyr, with the players' floats bound once."""
-    a, d = cfg.attacker, cfg.defender
-    ax, ay, avx, avy = a.pos.x, a.pos.y, a.vel.x, a.vel.y
-    dx, dy, dvx, dvy = d.pos.x, d.pos.y, d.vel.x, d.vel.y
-    mu, rate, amp = cfg.mu, cfg.defender_params.speed_cap, u / cfg.mu
-
+    or columns against a 2-D t, one run per row): path_xy's distance from
+    the center of the defender's isochron_xyr, less its radius."""
     def clearance(t):
-        s = damped_time(mu, t)
-        w = t - s
+        s = damped_time(cfg.mu, t)
+        x, y = path_xy(cfg.attacker, cfg.attacker_params, u, hx, hy, t, s)
+        cx, cy, r = isochron_xyr(cfg.defender, cfg.defender_params, t, s)
         hypot = np.hypot if isinstance(t, np.ndarray) else math.hypot
-        return hypot(ax + avx * s + amp * w * hx - (dx + dvx * s),
-                     ay + avy * s + amp * w * hy - (dy + dvy * s)) - rate * w
+        return hypot(x - cx, y - cy) - r
     return clearance
 
 
@@ -510,15 +504,12 @@ def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     the defender's disc covers at arrival is unsafe: the defender can stand
     there then (or, clamped by steer_to from up to BOUNDARY_SLACK outside the
     attacker's disc, it may keep f(t) just above zero: the conservative side).
-    The other runs' clearance f starts at |A_0 - D_0| > 0 and moves at time
-    tau at most at (|v_A0| + |v_D0|) e^(-mu tau) + (cap_A + cap_D)
-    (1 - e^(-mu tau)), both players' speed bounds, which is monotone and at
-    most cap_A + cap_D (all with SPEED_SLACK): lip, its larger value at
-    sample times u, v, bounds it between them.  An array pass samples f at
-    t k / SAFETY_SAMPLES, RUN_CHUNK runs at a time: a sample <= 0 is unsafe,
-    and a run whose pairs u, v all pass first_zero's test f(u) + f(v) >
-    lip (v - u), tried first with lip = cap_A + cap_D, is safe.  first_zero
-    decides the rest, from the first failing pair to the last, with their largest lip."""
+    The other runs' clearance f starts at |A_0 - D_0| > 0 and moves at most
+    at lip = cap_A + cap_D (with SPEED_SLACK), the players' speed caps.  An
+    array pass samples f at t k / SAFETY_SAMPLES, RUN_CHUNK runs at a time:
+    a sample <= 0 is unsafe, and a run whose pairs u, v all pass
+    first_zero's test f(u) + f(v) > lip (v - u) is safe.  first_zero
+    decides the rest, from the first failing pair to the last."""
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
     t = np.array(times, dtype=float)
     safe = np.zeros(len(t), dtype=bool)
@@ -529,7 +520,6 @@ def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     x, y, t = x[rows], y[rows], t[rows]
     u, theta, ok = steer_controls(cfg.attacker, cfg.attacker_params, x, y, t)
     hx, hy = np.cos(theta), np.sin(theta)
-    v0 = (cfg.attacker.vel.norm() + cfg.defender.vel.norm()) * (1.0 + SPEED_SLACK)
     cap = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
     grid = np.arange(SAFETY_SAMPLES + 1) / SAFETY_SAMPLES
     for lo in range(0, len(t), RUN_CHUNK):
@@ -540,14 +530,10 @@ def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
         fails = f[:, :-1] + f[:, 1:] <= cap / SAFETY_SAMPLES * t[part, None]
         safe[rows[part]] = ok[part] & ~fails.any(axis=1)
         doubt = np.flatnonzero(ok[part] & fails.any(axis=1) & (f > 0.0).all(axis=1))
-        speed = cap - (cap - v0) * np.exp(-cfg.mu * ts[doubt])
-        lip = np.maximum(speed[:, :-1], speed[:, 1:])
-        fails = f[doubt, :-1] + f[doubt, 1:] <= lip / SAFETY_SAMPLES * t[lo + doubt, None]
-        for i, fail, lip_i in zip(doubt.tolist(), fails, lip):
+        for i in doubt.tolist():
             run = _clearance(cfg, float(u[lo + i]), float(hx[lo + i]), float(hy[lo + i]))
-            j = np.flatnonzero(fail)
-            safe[rows[lo + i]] = not len(j) or first_zero(
-                run, *ts[i, [j[0], j[-1] + 1]].tolist(), float(lip_i[j].max())) is None
+            j = np.flatnonzero(fails[i])
+            safe[rows[lo + i]] = first_zero(run, *ts[i, [j[0], j[-1] + 1]].tolist(), cap) is None
     return safe
 
 

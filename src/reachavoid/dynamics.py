@@ -100,12 +100,20 @@ def isochron_xyr(state: PlayerState, params: PlayerParams, t, s):
             (params.u_max / params.mu) * (t - s))
 
 
-def path_xy(state: PlayerState, params: PlayerParams, ctrl: Control, t, s):
-    """Position x, y at time t under a constant control; t and s as above."""
-    amp = ctrl.u / params.mu
-    hx, hy = math.cos(ctrl.theta), math.sin(ctrl.theta)
-    return (state.pos.x + state.vel.x * s + amp * (t - s) * hx,
-            state.pos.y + state.vel.y * s + amp * (t - s) * hy)
+def path_xy(state: PlayerState, params: PlayerParams, u, hx, hy, t, s):
+    """Position x, y at time t under constant thrust u along the unit heading
+    (hx, hy); t and s as above, and u, hx, hy floats or arrays alike."""
+    amp, w = u / params.mu, t - s
+    return (state.pos.x + state.vel.x * s + amp * w * hx,
+            state.pos.y + state.vel.y * s + amp * w * hy)
+
+
+def velocity_xy(state: PlayerState, params: PlayerParams, u, hx, hy, decay):
+    """Velocity x, y at time t under constant thrust u along the unit heading
+    (hx, hy), given decay = exp(-mu t); floats or arrays alike."""
+    a = u / params.mu
+    return (state.vel.x * decay + a * (1.0 - decay) * hx,
+            state.vel.y * decay + a * (1.0 - decay) * hy)
 
 
 def propagate(state: PlayerState, params: PlayerParams, ctrl: Control,
@@ -119,14 +127,11 @@ def propagate(state: PlayerState, params: PlayerParams, ctrl: Control,
     if ctrl.u > params.u_max * (1.0 + 1e-12) + 1e-15:
         raise DomainError(
             f"control magnitude {ctrl.u} exceeds bound {params.u_max}")
-    mu = params.mu
-    decay = math.exp(-mu * t)
-    s = (1.0 - decay) / mu
-    a = ctrl.u / mu
-    d = ctrl.heading()
-    vel = Vec2(state.vel.x * decay + a * (1.0 - decay) * d.x,
-               state.vel.y * decay + a * (1.0 - decay) * d.y)
-    return PlayerState(Vec2(*path_xy(state, params, ctrl, t, s)), vel)
+    decay = math.exp(-params.mu * t)
+    s = (1.0 - decay) / params.mu
+    hx, hy = math.cos(ctrl.theta), math.sin(ctrl.theta)
+    return PlayerState(Vec2(*path_xy(state, params, ctrl.u, hx, hy, t, s)),
+                       Vec2(*velocity_xy(state, params, ctrl.u, hx, hy, decay)))
 
 
 def isochron(state: PlayerState, params: PlayerParams, t: float) -> Isochron:

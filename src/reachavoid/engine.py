@@ -348,8 +348,8 @@ def _dists(cfg: GameConfig, a: PlayerState, d: PlayerState, ca: Control,
     """Attacker-defender and attacker-target distances after time h: those of
     propagate's states, without the states or its control-bound check."""
     s = damped_time(cfg.mu, h)
-    ax, ay = path_xy(a, cfg.attacker_params, ca, h, s)
-    dx, dy = path_xy(d, cfg.defender_params, cd, h, s)
+    ax, ay = path_xy(a, cfg.attacker_params, ca.u, math.cos(ca.theta), math.sin(ca.theta), h, s)
+    dx, dy = path_xy(d, cfg.defender_params, cd.u, math.cos(cd.theta), math.sin(cd.theta), h, s)
     tx, ty = cfg.target.x, cfg.target.y
     return math.hypot(ax - dx, ay - dy), math.hypot(ax - tx, ay - ty)
 

@@ -160,6 +160,9 @@ def load(path: str | Path) -> ScenarioDocument:
 
 def dumps(doc: ScenarioDocument) -> str:
     sc = doc.scenario
+    if sc.attacker_policy is AttackerPolicy.CONSTANT:
+        raise SchemaError("the constant attacker policy is library-only: "
+                          "no scenario key holds its constant_ctrl")
     cfg = sc.cfg
     payload: dict[str, Any] = {
         "players": {

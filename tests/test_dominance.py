@@ -492,7 +492,8 @@ class TestStraightRuns:
         below and at the speed caps, a finite-difference scan of a run's
         clearance at step 1e-4 never exceeds (|v_A0| + |v_D0|) e^(-mu t) +
         (cap_A + cap_D) (1 - e^(-mu t)) at the larger end of the step, with
-        SPEED_SLACK; head-on players at their caps attain it."""
+        SPEED_SLACK, which is at most cap_A + cap_D since |v_0| <= cap;
+        head-on players at their caps attain cap_A + cap_D."""
         rng = np.random.default_rng(63)
 
         def player(cap, frac):
@@ -526,15 +527,33 @@ class TestStraightRuns:
             worst = max(worst, ratio.max())
         assert worst > 0.999
 
-    def test_special1_map_sends_93_runs_to_first_zero(self, monkeypatch):
-        """special1's bundled map leaves 93 of its runs to first_zero (143
-        with the bound cap_A + cap_D for every sample pair)."""
+    def test_float_clearance_equals_the_propagated_distance(self, case1, special1):
+        # clearance_at on floats against propagate's position and isochron's disc (==)
+        rng = np.random.default_rng(72)
+        cfgs = [case1, special1]
+        for _ in range(20):
+            mu, u_d = rng.uniform(0.5, 2.0), rng.uniform(1.2, 3.0)
+            a, d = random_player(rng, mu, 1.0), random_player(rng, mu, u_d)
+            cfgs.append(make_cfg((a.pos.x, a.pos.y), (a.vel.x, a.vel.y),
+                                 (d.pos.x, d.pos.y), (d.vel.x, d.vel.y), u_d=u_d, mu=mu))
+        for cfg in cfgs:
+            pa = cfg.attacker_params
+            ctrl = Control(pa.u_max * rng.choice([0.0, rng.random(), 1.0]),
+                           rng.uniform(0.0, 2.0 * math.pi))
+            for t in [0.0, *rng.uniform(0.0, 3.0, 8).tolist()]:
+                disc = isochron(cfg.defender, cfg.defender_params, t)
+                pos = propagate(cfg.attacker, pa, ctrl, t).pos
+                assert clearance_at(cfg, ctrl, t) == (pos - disc.center).norm() - disc.radius
+
+    def test_special1_map_sends_143_runs_to_first_zero(self, monkeypatch):
+        """special1's bundled map leaves 143 of its runs to first_zero under
+        the one slope bound cap_A + cap_D."""
         calls = []
         monkeypatch.setattr(dominance, "first_zero",
                             lambda *args: calls.append(args) or first_zero(*args))
         doc = scenario_io.load(record.SCENARIOS / "special1.json")
         region_map(doc.scenario.cfg, doc.render.window, doc.render.resolution)
-        assert len(calls) == 93
+        assert len(calls) == 143
 
     # a step of a bench random game: the target run's clearance is positive
     # at the 200 samples t k / 200 (k = 1..200) but below zero for about

@@ -2,11 +2,13 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from reachavoid import RegionLabel, r3_certificates, run, tangency_windows
+from reachavoid import (AttackerPolicy, Control, RegionLabel, barrier_time, cusp_time,
+                        r3_certificates, run, tangency_windows)
 from reachavoid.cli import main
 from reachavoid.scenario_io import (SchemaError, dumps, load, loads,
                                     regions_to_csv, trace_to_csv)
@@ -68,6 +70,18 @@ class TestSchema:
     def test_bad_policy_rejected(self):
         with pytest.raises(SchemaError, match="policy"):
             loads(json.dumps(minimal_doc(policies={"attacker": "zigzag"})))
+
+    def test_constant_attacker_rejected(self):
+        # constant_ctrl has no scenario key, so the policy is library-only
+        with pytest.raises(SchemaError, match="constant_ctrl"):
+            loads(json.dumps(minimal_doc(policies={"attacker": "constant"})))
+
+    def test_constant_attacker_not_dumped(self):
+        doc = load(SCENARIOS / "case2.json")
+        sc = replace(doc.scenario, attacker_policy=AttackerPolicy.CONSTANT,
+                     constant_ctrl=Control(0.5, 1.0))
+        with pytest.raises(SchemaError, match="library-only"):
+            dumps(replace(doc, scenario=sc))
 
     def test_speed_cap_enforced(self):
         raw = minimal_doc()
@@ -273,7 +287,10 @@ class TestCliMrr:
                    "--player", "defender", "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "barrier_time=" in out and "cusp_time=" in out
+        cfg = load(SCENARIOS / "special1.json").scenario.cfg
+        t_s = barrier_time(cfg.defender, cfg.defender_params)
+        t_u = cusp_time(cfg.defender, cfg.defender_params)
+        assert out.splitlines()[0] == f"barrier_time={t_s:.10f} cusp_time={t_u:.10f}"
         assert (tmp_path / "mrr.csv").exists()
         assert (tmp_path / "mrr.svg").exists()
 
