@@ -39,7 +39,9 @@ def _load(path: str):
         return scenario_io.load(path)
     except FileNotFoundError:
         _fail(f"scenario file not found: {path}")
-    except SchemaError as exc:
+    except OSError as exc:
+        _fail(f"cannot read scenario file {path}: {exc.strerror}")
+    except (UnicodeDecodeError, SchemaError) as exc:
         _fail(f"{path}: {exc}")
 
 
@@ -185,11 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":

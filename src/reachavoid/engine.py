@@ -2,14 +2,16 @@
 
 Each step both policies map the full current state to a control (complete
 information), the states advance by the exact closed-form propagation over one
-step, and the terminal conditions are checked.  Each step makes its solves
-once for both players (`_Step`): the players' reach times at the target and
-the equal-time plan, or a failed plan's exception.  Because propagation within
-a step is exact, the step size only sets the replanning cadence, not any
-integration error.  The first terminal event in a step (capture ball, target
-ball) is a zero of one margin with a known slope bound, found by `first_zero`
-to ROOT_TOL; so no brief closest approach is stepped over, and event times are
-comparable across step sizes.
+step, and the terminal conditions are checked.  A policy's one argument is the
+step (`_Step`): the states, the time, and the solves made once for both
+players, their reach times at the target and the equal-time plan, held as the
+plan or a failed plan's exception.  `_act` is the one fallback: a policy that
+raises gets pure pursuit and a note, so an infeasible locked or intercept point
+and a match_mrr defender past its arrival are noted, not silent.  Propagation
+within a step is exact, so the step size only sets the replanning cadence.  The
+first terminal event in a step (capture ball, target ball) is a zero of one
+margin with a known slope bound, found by `first_zero` to ROOT_TOL; so no brief
+closest approach is stepped over, and event times compare across step sizes.
 """
 from __future__ import annotations
 
@@ -179,12 +181,13 @@ PLAN_JUMP_DIST = 0.02
 
 
 class _Step:
-    """One step's solves, each made at most once, when a policy first needs
-    it: both players' expanded reach times at the target, and the equal-time
-    plan or the exception of a failed plan, which both players share."""
+    """One replanning step, the one argument of every policy: the game at the
+    players' current states, the scenario, the time and the run's tracker.
+    Its solves are made at most once, when a policy first needs them, and
+    both players share them."""
 
-    def __init__(self, cfg: GameConfig):
-        self.cfg, self.plan, self.failure = cfg, None, None
+    def __init__(self, cfg: GameConfig, sc: Scenario, t: float, tracker: _PlanTracker):
+        self.cfg, self.sc, self.t, self.tracker = cfg, sc, t, tracker
 
     @cached_property
     def attacker_times(self) -> list[float]:
@@ -196,13 +199,34 @@ class _Step:
         cfg = self.cfg
         return reach_times(cfg.target, cfg.defender, cfg.defender_params).expanded()
 
+    @cached_property
+    def plan(self) -> TerminalPlan | Exception:
+        """The equal-time TerminalPlan, or the exception of a failed plan.
+        Computing it records a plan switch and moves the tracker's point."""
+        tracker = self.tracker
+        try:
+            plan = choose_plan(self.cfg, tracker.point, self.sc.plan_switch_margin,
+                               (self.attacker_times, self.defender_times))
+        except (AttackerWinsError, InfeasibleTargetError) as exc:
+            return exc
+        if tracker.point is not None \
+                and (plan.point - tracker.point).norm() > PLAN_JUMP_DIST:
+            tracker.switches.append((self.t, plan.point))
+        tracker.point = plan.point
+        return plan
+
+    def planned(self) -> TerminalPlan:
+        """The equal-time plan; a failed plan raises its exception."""
+        if isinstance(self.plan, Exception):
+            raise self.plan
+        return self.plan
+
 
 @dataclass
 class _PlanTracker:
     """Per-run state shared by the policies of both players."""
 
     point: Optional[Vec2] = None
-    step: Optional[_Step] = None
     mrr_target: Optional[tuple[Vec2, float]] = None
     mrr_failed: bool = False
     target_mode: bool = False
@@ -210,41 +234,17 @@ class _PlanTracker:
     notes: list = field(default_factory=list)
 
 
-def _plan(cfg: GameConfig, sc: Scenario, t: float,
-          tracker: _PlanTracker) -> TerminalPlan:
-    """This step's equal-time plan, computed once and shared by both players;
-    a failed plan raises its exception again for the second player."""
-    step = tracker.step
-    if step.plan is None and step.failure is None:
-        try:
-            plan = choose_plan(cfg, tracker.point, sc.plan_switch_margin,
-                               (step.attacker_times, step.defender_times))
-        except (AttackerWinsError, InfeasibleTargetError) as exc:
-            step.failure = exc
-            raise
-        if tracker.point is not None \
-                and (plan.point - tracker.point).norm() > PLAN_JUMP_DIST:
-            tracker.switches.append((t, plan.point))
-        tracker.point, step.plan = plan.point, plan
-    if step.failure is not None:
-        raise step.failure
-    return step.plan
-
-
-# Policies map (cfg, scenario, t, tracker[, attacker control]) to a control,
-# or to None for pure pursuit this step.  A failed equal-time plan raises
-# AttackerWinsError or InfeasibleTargetError, which `_act` turns into a note
-# and pure pursuit.
+# Policies map the step (and, for the defender, the attacker's control) to a
+# control, or to None for pure pursuit this step.  A failed plan or an
+# infeasible point raises AttackerWinsError or InfeasibleTargetError, which
+# `_act` alone turns into a note and pure pursuit.
 
 def _pursue(*_) -> None:
     return None
 
 
-def _attacker_plan(cfg, sc, t, tracker) -> Control:
-    return _plan(cfg, sc, t, tracker).attacker_ctrl
-
-
-def _attacker_region(cfg, sc, t, tracker) -> Optional[Control]:
+def _attacker_region(step: _Step) -> Optional[Control]:
+    cfg, t, tracker = step.cfg, step.t, step.tracker
     if tracker.mrr_target is None and not tracker.mrr_failed:
         picked = best_r3_point(cfg)
         if picked is None:
@@ -258,89 +258,67 @@ def _attacker_region(cfg, sc, t, tracker) -> Optional[Control]:
                                  f"({point.x:.6f}, {point.y:.6f}) "
                                  f"for arrival at {t + t_d2:.6f}")
     if tracker.mrr_target is None:
-        return _attacker_plan(cfg, sc, t, tracker)
+        return step.planned().attacker_ctrl
     point, t_arr = tracker.mrr_target
-    if t_arr - t <= 1e-9:
-        return None
-    try:
-        return steer_to(cfg.attacker, cfg.attacker_params, point, t_arr - t)
-    except InfeasibleTargetError:
-        tracker.notes.append(f"t={t:.6f} region point infeasible; "
-                             "pure pursuit for this step")
-        return None
+    return steer_to(cfg.attacker, cfg.attacker_params, point, t_arr - t)
 
 
 def _target_run_first(policy):
     """Grab the target outright once a safe straight run exists (state feedback)."""
-    def target_or_policy(cfg, sc, t, tracker) -> Optional[Control]:
-        direct = can_reach_target(cfg, tracker.step.attacker_times)
+    def target_or_policy(step: _Step) -> Optional[Control]:
+        direct = can_reach_target(step.cfg, step.attacker_times)
+        tracker = step.tracker
         if direct is None:
             tracker.target_mode = False
-            return policy(cfg, sc, t, tracker)
+            return policy(step)
         if not tracker.target_mode:
-            tracker.notes.append(f"t={t:.6f} attacker switches to target run")
+            tracker.notes.append(f"t={step.t:.6f} attacker switches to target run")
             tracker.target_mode = True
         return direct
     return target_or_policy
 
 
-def _defender_plan(cfg, sc, t, tracker, attacker_ctrl) -> Control:
-    return _plan(cfg, sc, t, tracker).defender_ctrl
-
-
-def _defender_match(cfg, sc, t, tracker, attacker_ctrl) -> Optional[Control]:
-    if tracker.mrr_target is None:
+def _defender_match(step: _Step, attacker_ctrl) -> Optional[Control]:
+    if step.tracker.mrr_target is None:
         return None
-    point, t_arr = tracker.mrr_target
-    if t_arr - t <= 1e-9:
-        return None
-    try:
-        return steer_to(cfg.defender, cfg.defender_params, point, t_arr - t)
-    except InfeasibleTargetError:
-        return None
+    point, t_arr = step.tracker.mrr_target
+    return steer_to(step.cfg.defender, step.cfg.defender_params, point, t_arr - step.t)
 
 
-def _defender_intercept(cfg, sc, t, tracker, attacker_ctrl) -> Optional[Control]:
-    try:
-        horizon = _plan(cfg, sc, t, tracker).t_f
-    except (AttackerWinsError, InfeasibleTargetError):
-        horizon = sc.horizon - t
-    crossing = first_unsafe_crossing(cfg, attacker_ctrl, horizon)
+def _defender_intercept(step: _Step, attacker_ctrl) -> Optional[Control]:
+    plan = step.plan
+    planned = isinstance(plan, TerminalPlan)
+    horizon = plan.t_f if planned else step.sc.horizon - step.t
+    crossing = first_unsafe_crossing(step.cfg, attacker_ctrl, horizon)
     if crossing is None:
         # no interceptable stretch: behave like the equal-time plan
-        return None if tracker.step.plan is None else tracker.step.plan.defender_ctrl
+        return plan.defender_ctrl if planned else None
     point, tau = crossing
-    try:
-        return steer_to(cfg.defender, cfg.defender_params, point, tau)
-    except InfeasibleTargetError:
-        tracker.notes.append(f"t={t:.6f} intercept point infeasible; "
-                             "pure pursuit for this step")
-        return None
+    return steer_to(step.cfg.defender, step.cfg.defender_params, point, tau)
 
 
 _ATTACKER_POLICIES = {
-    AttackerPolicy.STRATEGY_I: _target_run_first(_attacker_plan),
+    AttackerPolicy.STRATEGY_I: _target_run_first(lambda step: step.planned().attacker_ctrl),
     AttackerPolicy.PURE_PURSUIT: _target_run_first(_pursue),
     AttackerPolicy.MRR: _target_run_first(_attacker_region),
-    AttackerPolicy.CONSTANT: lambda cfg, sc, t, tracker: sc.constant_ctrl,
+    AttackerPolicy.CONSTANT: lambda step: step.sc.constant_ctrl,
 }
 _DEFENDER_POLICIES = {
-    DefenderPolicy.STRATEGY_I: _defender_plan,
+    DefenderPolicy.STRATEGY_I: lambda step, attacker_ctrl: step.planned().defender_ctrl,
     DefenderPolicy.PURE_PURSUIT: _pursue,
     DefenderPolicy.INTERCEPT_R3: _defender_intercept,
     DefenderPolicy.MATCH_MRR: _defender_match,
 }
 
 
-def _act(who: str, policy, cfg: GameConfig, sc: Scenario, t: float,
-         tracker: _PlanTracker, *args) -> Control:
-    """Run one player's policy; pure pursuit when it fails or declines."""
+def _act(who: str, policy, step: _Step, *args) -> Control:
+    """Run one player's policy: pure pursuit if it declines, and a note too if it fails."""
     try:
-        ctrl = policy(cfg, sc, t, tracker, *args)
+        ctrl = policy(step, *args)
     except (AttackerWinsError, InfeasibleTargetError) as exc:
-        tracker.notes.append(f"t={t:.6f} {who} plan failed ({exc}); pure pursuit")
+        step.tracker.notes.append(f"t={step.t:.6f} {who} plan failed ({exc}); pure pursuit")
         ctrl = None
-    return pure_pursuit(cfg, who) if ctrl is None else ctrl
+    return pure_pursuit(step.cfg, who) if ctrl is None else ctrl
 
 
 def _dists(cfg: GameConfig, a: PlayerState, d: PlayerState, ca: Control,
@@ -392,16 +370,13 @@ def run(sc: Scenario) -> GameTrace:
     # a step without a terminal event leaves the outcome at TIMEOUT
     kind = OutcomeKind.TIMEOUT
     while kind is OutcomeKind.TIMEOUT and t < sc.horizon - 1e-12:
-        step_cfg = replace(cfg, attacker=a, defender=d)
-        tracker.step = _Step(step_cfg)
-        ctrl_a = _act("attacker", _ATTACKER_POLICIES[sc.attacker_policy],
-                      step_cfg, sc, t, tracker)
-        ctrl_d = _act("defender", _DEFENDER_POLICIES[sc.defender_policy],
-                      step_cfg, sc, t, tracker, ctrl_a)
+        step = _Step(replace(cfg, attacker=a, defender=d), sc, t, tracker)
+        ctrl_a = _act("attacker", _ATTACKER_POLICIES[sc.attacker_policy], step)
+        ctrl_d = _act("defender", _DEFENDER_POLICIES[sc.defender_policy], step, ctrl_a)
         if not rows:
             record(ctrl_a, ctrl_d)
         dt = min(sc.dt, sc.horizon - t)
-        event = _event_time(step_cfg, ctrl_a, ctrl_d, dt, sc)
+        event = _event_time(step.cfg, ctrl_a, ctrl_d, dt, sc)
         h = dt if event is None else event
         a = propagate(a, cfg.attacker_params, ctrl_a, h)
         d = propagate(d, cfg.defender_params, ctrl_d, h)

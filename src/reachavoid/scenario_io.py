@@ -155,7 +155,7 @@ def loads(text: str) -> ScenarioDocument:
 
 
 def load(path: str | Path) -> ScenarioDocument:
-    return loads(Path(path).read_text())
+    return loads(Path(path).read_text(encoding="utf-8"))
 
 
 def dumps(doc: ScenarioDocument) -> str:

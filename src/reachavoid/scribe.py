@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import PlayerParams, PlayerState, damped_time
+from .dynamics import DomainError, PlayerParams, PlayerState, damped_time
 from .geometry import Vec2, mapped
 
 # absolute tolerance on solved times; downstream geometry subtracts nearby times
@@ -297,10 +297,14 @@ def scribe_times(p: ScribeProblem) -> RootSet:
 
     One to three times, each solved to ROOT_TOL, or none where the gap is
     constant (no thrust, no drift).  Exact tangencies of the gap at an
-    interior extremum are reported once with multiplicity 2.
+    interior extremum are reported once with multiplicity 2.  Without thrust
+    but with drift the gap never changes sign: that raises DomainError.
     """
-    if p.radius_coeff == 0.0 and p.dv2 == 0.0:
-        return RootSet((), ())
+    if p.radius_coeff == 0.0:
+        if p.dv2 == 0.0:
+            return RootSet((), ())
+        raise DomainError("tangency times undefined for a thrustless drift: "
+                          "the gap only touches zero, never crosses it")
     mu, cap, scale = p.mu, p.cap, p.scale
     g = lambda t: gap(p, t)
     g1 = lambda t: gap_d1(p, t)
@@ -453,6 +457,9 @@ def scribe_times_batch(batch: ScribeBatch) -> np.ndarray:
     find_zero loop per stage: gap'' for the inflection, gap' for t_lo and
     t_hi, and gap for the first, middle, last and single crossings.
     """
+    if ((batch.radius_coeff == 0.0) & (batch.dv2 > 0.0)).any():
+        raise DomainError("tangency times undefined for a thrustless drift: "
+                          "the gap only touches zero, never crosses it")
     n = len(batch)
     times = np.full((n, 3), np.nan)
     nan = np.full(n, np.nan)
@@ -533,7 +540,7 @@ def scribe_times_batch(batch: ScribeBatch) -> np.ndarray:
     put(falls, [first])
     put(w, [first, middle, last])
     put(~np.isnan(one_lo), [single])
-    if (np.isnan(times[:, 0]) & ((batch.radius_coeff > 0.0) | (batch.dv2 > 0.0))).any():
+    if (np.isnan(times[:, 0]) & (batch.radius_coeff > 0.0)).any():
         raise RuntimeError("gap function never changed sign; "
                            "bracket cap too small for this problem")
     return times

@@ -5,13 +5,15 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from reachavoid import (AttackerPolicy, Control, DefenderPolicy, OutcomeKind,
-                        Scenario, Vec2, best_r3_point, first_zero, propagate,
-                        run, strategy_one, tangency_windows)
+from reachavoid import (AttackerPolicy, Control, DefenderPolicy,
+                        InfeasibleTargetError, OutcomeKind, Scenario, Vec2,
+                        best_r3_point, first_zero, propagate, pure_pursuit, run,
+                        strategy_one, tangency_windows)
 import reachavoid.engine
 from reachavoid.engine import _dists
 from reachavoid.scenario_io import TRACE_COLUMNS, loads, trace_to_csv
@@ -444,6 +446,55 @@ class TestOneStepOneSolve:
         assert len(plans) == len(trace.rows) - 1
         assert set(plans.values()) == {1}
         assert solves and set(solves.values()) == {1}
+
+
+class TestOneFallback:
+    """A point that `steer_to` rejects, or a locked arrival time already past,
+    falls back in `_act` alone: that step's control is pure pursuit, with one
+    note for that player."""
+
+    def assert_pursued(self, trace, sc, who, state, reason):
+        """The step that starts at `who`'s `state` pursues, with one note."""
+        (i,) = [i for i, row in enumerate(trace.rows) if getattr(row, who) == state]
+        row, applied = trace.rows[i], trace.rows[i + 1]
+        step_cfg = replace(sc.cfg, attacker=row.attacker, defender=row.defender)
+        assert getattr(applied, f"{who}_ctrl") == pure_pursuit(step_cfg, who)
+        prefix = f"t={row.t:.6f} {who} "
+        assert [n for n in trace.notes if n.startswith(prefix)] == \
+            [f"{prefix}plan failed ({reason}); pure pursuit"]
+
+    @pytest.mark.parametrize("game, who", [
+        ("special1", "attacker"), ("special1", "defender"),
+        ("special1_intercept", "defender")])
+    def test_rejected_point(self, monkeypatch, game, who):
+        """The mrr attacker's and the match_mrr defender's locked point, and
+        the intercept_r3 defender's crossing: `who`'s first steer is rejected."""
+        sc = record.GAMES[game]()
+        params, steer_to, rejected = getattr(sc.cfg, f"{who}_params"), \
+            reachavoid.engine.steer_to, []
+
+        def rejecting(state, p, target, t_f):
+            if p == params and not rejected:
+                rejected.append(state)
+                raise InfeasibleTargetError("rejected")
+            return steer_to(state, p, target, t_f)
+        monkeypatch.setattr(reachavoid.engine, "steer_to", rejecting)
+        trace = run(sc)
+        assert rejected
+        self.assert_pursued(trace, sc, who, rejected[0], "rejected")
+
+    def test_match_past_arrival(self, monkeypatch):
+        """A region point locked for arrival at half a step: at the second
+        step the match_mrr defender is past it."""
+        sc = record.GAMES["special1"]()
+        picked = best_r3_point(sc.cfg)
+        monkeypatch.setattr(reachavoid.engine, "best_r3_point",
+                            lambda cfg: (picked[0], sc.dt / 2, picked[2]))
+        trace = run(sc)
+        second = trace.rows[1]
+        t_f = sc.dt / 2 - second.t
+        self.assert_pursued(trace, sc, "defender", second.defender,
+                            f"cannot reach {picked[0]} in non-positive time {t_f}")
 
 
 class TestTargetRunPasses:

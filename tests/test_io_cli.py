@@ -89,6 +89,35 @@ class TestSchema:
         with pytest.raises(SchemaError, match="speed"):
             loads(json.dumps(raw))
 
+    @pytest.mark.parametrize("key, value, message", [
+        (None, "{", "not valid JSON"),
+        (None, "[]", "must be a JSON object"),
+        ("players.attacker.pos", [1.0], "'players.attacker.pos' must be a pair"),
+        ("players.attacker", 3, "'players.attacker' must be an object"),
+        ("players", [], "'players' must be an object"),
+        ("players.defender.u_max", -1.0, "'players.defender': acceleration bound"),
+        ("policies", [], "'policies' must be an object"),
+        ("sim", [], "'sim' must be an object"),
+        ("render", [], "'render' must be an object"),
+        ("policies.defender", "zigzag", "unknown defender policy"),
+        ("render.window", [0.0, 1.0, 0.0], "'render.window' must be .xmin"),
+        ("render.window", [0.0, 0.0, 0.0, 1.0], "'render.window' must have positive extent"),
+        ("render.resolution", [1, 80], "'render.resolution' must be two ints"),
+    ])
+    def test_each_check_names_its_key(self, key, value, message):
+        """One document per check of `loads`; a None key gives the text as is."""
+        text = value
+        if key is not None:
+            raw = minimal_doc()
+            *parents, leaf = key.split(".")
+            node = raw
+            for name in parents:
+                node = node.setdefault(name, {})
+            node[leaf] = value
+            text = json.dumps(raw)
+        with pytest.raises(SchemaError, match=message):
+            loads(text)
+
 
 class TestCsv:
     def test_regions_csv_shape(self):
@@ -187,6 +216,21 @@ class TestCliSimulate:
             main(["simulate", str(bad), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda path: path.mkdir(), "cannot read scenario file"),
+        (lambda path: path.write_bytes(b"\xff\xfe{}"), "codec can't decode"),
+    ])
+    def test_unreadable_file_exit_code(self, tmp_path, capsys, make, message):
+        """A directory and a file that is not UTF-8: exit 2 with an error line."""
+        bad = tmp_path / "bad.json"
+        make(bad)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(bad), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not (tmp_path / "o").exists()
 
     def test_schema_violation_exit_code(self, tmp_path, capsys):

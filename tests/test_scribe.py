@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import oracle
-from reachavoid import (Branch, Control, PlayerParams, PlayerState, RootSet,
-                        ScribeBatch, ScribeMode, ScribeProblem, Vec2,
-                        boundary_point, cusp_time, find_zero, first_zero, gap,
-                        propagate, reach_times, reach_times_many, run,
-                        scribe_times, scribe_times_batch)
+from reachavoid import (Branch, Control, DomainError, PlayerParams, PlayerState,
+                        RootSet, ScribeBatch, ScribeMode, ScribeProblem, Vec2,
+                        boundary_point, classify, cusp_time, find_zero,
+                        first_zero, gap, propagate, reach_times,
+                        reach_times_many, run, scribe_times, scribe_times_batch)
 from reachavoid import scribe
 from reachavoid.scenario_io import load
 from reachavoid.scribe import ROOT_TOL, gap_d1, gap_d2, reach_times_players
@@ -270,6 +270,21 @@ class TestReachTimes:
         rows = reach_times_many([(0.0, 0.0), (1.0, 0.5), (-3.0, 2.0)], st, par)
         assert np.array_equal(rows, [[np.nan] * 3, [0.0, np.nan, np.nan], [np.nan] * 3],
                               equal_nan=True)
+
+    def test_thrustless_moving_player_is_a_domain_error(self):
+        """No thrust but a drift: the gap |dx + dv s|^2 touches zero at t = ln 3
+        on the drift path and never changes sign, so the scalar and the batch
+        path name the thrustless drift before any solve; the player's own
+        position is still reached at 0."""
+        st, par = PlayerState(Vec2(1.0, 0.5), Vec2(0.3, 0.0)), PlayerParams(0.0, 1.0)
+        for solve in (lambda: reach_times(Vec2(1.2, 0.5), st, par),
+                      lambda: reach_times_many([(1.2, 0.5)], st, par),
+                      lambda: classify(Vec2(1.2, 0.5), st, par)):
+            with pytest.raises(DomainError, match="thrustless drift"):
+                solve()
+        assert reach_times(st.pos, st, par).times == (0.0,)
+        assert np.array_equal(reach_times_many([(1.0, 0.5)], st, par),
+                              [[0.0, np.nan, np.nan]], equal_nan=True)
 
     def test_own_position_moving_player_swings_back(self, params):
         st = PlayerState(Vec2(0.0, 0.0), Vec2(1.0, 0.0))
