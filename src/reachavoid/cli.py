@@ -106,11 +106,10 @@ def cmd_regions(args) -> int:
     (out / "regions.csv").write_text(scenario_io.regions_to_csv(xs, ys, labels))
     boundary = capture_boundary(cfg)
     overlays = {"boundary_L": [seg.points for seg in boundary.segments]}
-    mrr_lines = []
-    for state, params in ((cfg.attacker, cfg.attacker_params),
-                          (cfg.defender, cfg.defender_params)):
-        if state.vel.norm() > 0.0:
-            mrr_lines.append(mrr_boundary(state, params).polygon())
+    mrr_lines = [mrr_boundary(state, params).polygon()
+                 for state, params in ((cfg.attacker, cfg.attacker_params),
+                                       (cfg.defender, cfg.defender_params))
+                 if state.vel.norm() > 0.0]
     if mrr_lines:
         overlays["boundary_mrr"] = mrr_lines
     (out / "regions.svg").write_text(

@@ -43,20 +43,17 @@ from .dynamics import (Control, DomainError, PlayerParams, PlayerState,
 from .geometry import Vec2, mapped, point_in_polygon, polygon_area, wrap_angle
 from .mrr import CLASSIFY_TOL, merge_times, mrr_boundary
 from .scribe import (RootSet, ScribeMode, ScribeProblem, find_zero,
-                     first_zero, reach_times, reach_times_players, scribe_times)
+                     first_zero, reach_times, reach_times_players, scribe_times,
+                     zeros_found)
 
 # default number of sweep samples along the full tangency window
 SWEEP_SAMPLES = 2048
 # sweep samples of L for the defender's reach-time index (one batch solve)
 ANNOTATE_SAMPLES = 600
-# even intervals of straight_runs' array pass over a run's [0, t]
-SAFETY_SAMPLES = 200
 # trajectory samples of the scan for a planned run's first interceptable point
 CROSSING_SAMPLES = 800
 # |clearance| that the scan evaluates again on floats, per unit of run length
 CROSSING_BAND = 1e-9
-# straight runs evaluated together; keeps each (runs, SAFETY_SAMPLES + 1) array near 100 kB
-RUN_CHUNK = 64
 # relative slack of GameConfig's speed check; the margins' slope bounds carry it
 SPEED_SLACK = 1e-9
 
@@ -215,12 +212,9 @@ def _active_intervals(cfg: GameConfig) -> tuple[float, float, list[tuple[float, 
     t_out, t_in = out.first, inn.first
     events = sorted({t_out, t_in, *[r for r in out.times if t_out < r < t_in],
                      *[r for r in inn.times if t_out < r < t_in]})
-    intervals = []
     point = _l_point(cfg, 1.0)
-    for a, b in zip(events[:-1], events[1:]):
-        if point(0.5 * (a + b))[2]:
-            intervals.append((a, b))
-    return t_out, t_in, intervals
+    return t_out, t_in, [(a, b) for a, b in zip(events[:-1], events[1:])
+                         if point(0.5 * (a + b))[2]]
 
 
 def capture_boundary(cfg: GameConfig, samples: int = SWEEP_SAMPLES) -> CaptureBoundary:
@@ -500,16 +494,12 @@ def _clearance(cfg: GameConfig, u, hx, hy):
 def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     """Whether the attacker's saturated straight run to points[i] (x, y pairs)
     arriving at times[i] > 0 under steer_to's control is never interceptable:
-    one boolean per run, False where steer_to rejects it.  A run whose end
-    the defender's disc covers at arrival is unsafe: the defender can stand
-    there then (or, clamped by steer_to from up to BOUNDARY_SLACK outside the
-    attacker's disc, it may keep f(t) just above zero: the conservative side).
-    The other runs' clearance f starts at |A_0 - D_0| > 0 and moves at most
-    at lip = cap_A + cap_D (with SPEED_SLACK), the players' speed caps.  An
-    array pass samples f at t k / SAFETY_SAMPLES, RUN_CHUNK runs at a time:
-    a sample <= 0 is unsafe, and a run whose pairs u, v all pass
-    first_zero's test f(u) + f(v) > lip (v - u) is safe.  first_zero
-    decides the rest, from the first failing pair to the last."""
+    one boolean per run, False where steer_to rejects it or the defender's
+    disc covers its end at arrival (steer_to may clamp a run from up to
+    BOUNDARY_SLACK outside the attacker's disc, keeping f(t) just above 0: the
+    conservative side).  Else its clearance f, with f(0) > 0 and |f'| <= lip =
+    cap_A + cap_D (with SPEED_SLACK), must have no zero first_zero finds on
+    [0, t]: one array search (zeros_found) for many runs, floats for one."""
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
     t = np.array(times, dtype=float)
     safe = np.zeros(len(t), dtype=bool)
@@ -517,23 +507,16 @@ def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     rows = np.flatnonzero(np.hypot(x - cx, y - cy) > r)
     if not len(rows):
         return safe
-    x, y, t = x[rows], y[rows], t[rows]
-    u, theta, ok = steer_controls(cfg.attacker, cfg.attacker_params, x, y, t)
+    u, theta, ok = steer_controls(cfg.attacker, cfg.attacker_params, x[rows], y[rows], t[rows])
+    rows, u, theta, t = rows[ok], u[ok], theta[ok], t[rows][ok]
     hx, hy = np.cos(theta), np.sin(theta)
     cap = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
-    grid = np.arange(SAFETY_SAMPLES + 1) / SAFETY_SAMPLES
-    for lo in range(0, len(t), RUN_CHUNK):
-        part = slice(lo, lo + RUN_CHUNK)
-        ts = t[part, None] * grid
-        f = _clearance(cfg, u[part, None], hx[part, None], hy[part, None])(ts)
-        # the spacing is t / SAFETY_SAMPLES up to rounding, which the slack covers
-        fails = f[:, :-1] + f[:, 1:] <= cap / SAFETY_SAMPLES * t[part, None]
-        safe[rows[part]] = ok[part] & ~fails.any(axis=1)
-        doubt = np.flatnonzero(ok[part] & fails.any(axis=1) & (f > 0.0).all(axis=1))
-        for i in doubt.tolist():
-            run = _clearance(cfg, float(u[lo + i]), float(hx[lo + i]), float(hy[lo + i]))
-            j = np.flatnonzero(fails[i])
-            safe[rows[lo + i]] = first_zero(run, *ts[i, [j[0], j[-1] + 1]].tolist(), cap) is None
+    if len(rows) == 1:
+        run = _clearance(cfg, float(u[0]), float(hx[0]), float(hy[0]))
+        safe[rows] = first_zero(run, 0.0, float(t[0]), cap) is None
+    else:
+        safe[rows] = ~zeros_found(lambda i, s: _clearance(cfg, u[i], hx[i], hy[i])(s),
+                                  np.zeros(len(t)), t, cap)
     return safe
 
 

@@ -292,6 +292,25 @@ def first_zero(f: Callable[[float], float], a: float, b: float,
     return None
 
 
+def zeros_found(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b, lip: float) -> np.ndarray:
+    """Whether first_zero(f_i, a[i], b[i], lip) finds a zero, per row i: its intervals
+    searched breadth first, one call of f(i, t) (rows i at times t) a pass; a
+    row found drops its intervals, so no row's result depends on its batch."""
+    u, v = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    i, found = np.arange(len(u)), np.zeros(len(u), dtype=bool)
+    fu, fv = np.split(f(np.tile(i, 2), np.concatenate([u, v])), 2)
+    while True:
+        found[i[fu <= 0.0]] = True
+        keep, wide = (fu + fv <= lip * (v - u)) & ~found[i], v - u > ROOT_TOL
+        found[i[keep & ~wide & (fv <= 0.0)]] = True
+        i, u, fu, v, fv = (z[keep & wide] for z in (i, u, fu, v, fv))
+        if not len(i):
+            return found
+        m = 0.5 * (u + v)
+        fm = f(i, m)
+        i, u, fu, v, fv = (np.concatenate(z) for z in ((i, i), (u, m), (fu, fm), (m, v), (fm, fv)))
+
+
 def scribe_times(p: ScribeProblem) -> RootSet:
     """All positive tangency times of the two isochron families.
 

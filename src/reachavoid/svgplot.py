@@ -6,6 +6,7 @@ identical inputs always produce identical bytes.  Tests grep the path data.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -150,35 +151,33 @@ def mrr_figure(boundary: MrrBoundary) -> str:
 
 def region_figure(cfg: GameConfig, xs, ys, labels,
                   overlays: dict | None = None) -> str:
-    """Layered region map: a cell layer per label, overlays of (n, 2) arrays."""
+    """Layered region map: per label a layer of row-run rects; overlays of (n, 2) arrays."""
     cv = SvgCanvas()
-    w = float(xs[1] - xs[0])
-    h = float(ys[1] - ys[0])
+    w, h = float(xs[1] - xs[0]), float(ys[1] - ys[0])
     # each cell's corner: formatted once per column and once per row
     left = [float(x) - 0.5 * w for x in xs]
     bottom = [float(y) - 0.5 * h for y in ys]
     cv._track(left + [x + w for x in left], bottom + [y + h for y in bottom])
     col, row = [_f(x) for x in left], [_f(y) for y in bottom]
-    size = f'width="{_f(w)}" height="{_f(h)}"'
     layers: dict[RegionLabel, list[str]] = {label: [] for label in RegionLabel}
     for j, labs in enumerate(labels):
-        for i, label in enumerate(labs):
-            layers[label].append(f'<rect x="{col[i]}" y="{row[j]}" {size} '
+        for label, cells in itertools.groupby(range(len(labs)), labs.__getitem__):
+            cells = list(cells)
+            layers[label].append(f'<rect x="{col[cells[0]]}" y="{row[j]}" '
+                                 f'width="{_f(len(cells) * w)}" height="{_f(h)}" '
                                  f'fill="{LABEL_COLORS[label]}" stroke="none" />')
     for label, rects in layers.items():
         if rects:
             cv.open_layer(f"region_{label.value}")
             cv.elements.extend(rects)
             cv.close_layer()
-    if overlays:
-        for name, polylines in overlays.items():
-            cv.open_layer(name)
-            for pts in polylines:
-                cv.polyline(pts.tolist(),
-                            LABEL_COLORS.get(RegionLabel.BOUNDARY_L, "#222222")
-                            if "boundary_L" in name else "#8a4fff",
-                            1.2)
-            cv.close_layer()
+    for name, polylines in (overlays or {}).items():
+        cv.open_layer(name)
+        color = LABEL_COLORS[RegionLabel.BOUNDARY_L if "boundary_L" in name
+                             else RegionLabel.BOUNDARY_MRR]
+        for pts in polylines:
+            cv.polyline(pts.tolist(), color, 1.2)
+        cv.close_layer()
     cv.marker(cfg.target.x, cfg.target.y, "#1d8348")
     cv.marker(cfg.attacker.pos.x, cfg.attacker.pos.y, "#c0392b")
     cv.marker(cfg.defender.pos.x, cfg.defender.pos.y, "#2d6cdf")

@@ -14,7 +14,7 @@ from reachavoid import (Control, DomainError, InfeasibleTargetError,
                         reach_times, reach_times_many, region_map, scenario_io,
                         steer_to, tangency_windows)
 from reachavoid import dominance, scribe
-from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, SPEED_SLACK, BoundarySegment,
+from reachavoid.dominance import (ANNOTATE_SAMPLES, SPEED_SLACK, BoundarySegment,
                                   _active_intervals, _alignment,
                                   _annotate_segments,
                                   _dip_candidates, _l_point,
@@ -22,6 +22,7 @@ from reachavoid.dominance import (ANNOTATE_SAMPLES, RUN_CHUNK, SPEED_SLACK, Boun
                                   clearance_at, intersection_points,
                                   matched_index, race,
                                   straight_runs)
+from reachavoid.scribe import zeros_found
 from reachavoid.dynamics import steer_controls
 from reachavoid.geometry import point_in_polygon
 
@@ -458,7 +459,7 @@ class TestStraightRuns:
     def test_equal_one_run_calls_and_dense_reference(self, special1, case2):
         rng = np.random.default_rng(52)
         for cfg in (special1, case2):
-            points, times = self.runs(cfg, rng, 2 * RUN_CHUNK + 60)
+            points, times = self.runs(cfg, rng, 188)
             safe = straight_runs(cfg, points, times)
             assert safe.dtype == bool and 0 < safe.sum() < len(safe)
             assert not safe[2::5].any()
@@ -545,15 +546,68 @@ class TestStraightRuns:
                 pos = propagate(cfg.attacker, pa, ctrl, t).pos
                 assert clearance_at(cfg, ctrl, t) == (pos - disc.center).norm() - disc.radius
 
-    def test_special1_map_sends_143_runs_to_first_zero(self, monkeypatch):
-        """special1's bundled map leaves 143 of its runs to first_zero under
-        the one slope bound cap_A + cap_D."""
+    @pytest.fixture(scope="class")
+    def special1_runs(self):
+        """special1's configuration and the points and times of the runs its
+        bundled map's labeller sends to straight_runs."""
+        doc = scenario_io.load(record.SCENARIOS / "special1.json")
         calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dominance, "straight_runs",
+                       lambda *args: calls.append(args[1:]) or straight_runs(*args))
+            region_map(doc.scenario.cfg, doc.render.window, doc.render.resolution)
+        return (doc.scenario.cfg, np.concatenate([p for p, _ in calls]),
+                np.concatenate([t for _, t in calls]))
+
+    def test_special1_map_takes_one_array_search(self, monkeypatch):
+        """special1's bundled map decides its 1,882 runs in one zeros_found
+        call of 18 passes and 41,104 clearance evaluations (README), and
+        calls float first_zero nowhere."""
+        floats, passes = [], []
+
+        def counted(f, a, b, lip):
+            passes.append([])
+            return zeros_found(lambda i, t: passes[-1].append(len(t)) or f(i, t), a, b, lip)
+
         monkeypatch.setattr(dominance, "first_zero",
-                            lambda *args: calls.append(args) or first_zero(*args))
+                            lambda *args: floats.append(args) or first_zero(*args))
+        monkeypatch.setattr(dominance, "zeros_found", counted)
         doc = scenario_io.load(record.SCENARIOS / "special1.json")
         region_map(doc.scenario.cfg, doc.render.window, doc.render.resolution)
-        assert len(calls) == 143
+        assert not floats
+        # the first pass evaluates both ends of each row
+        assert [(p[0] // 2, len(p), sum(p)) for p in passes] == [(1882, 18, 41104)]
+
+    def test_a_run_does_not_depend_on_its_batch(self, special1_runs):
+        cfg, points, times = special1_runs
+        safe = straight_runs(cfg, points, times)
+        assert 0 < (~safe).sum() < len(safe)
+        rng = np.random.default_rng(31)
+        batches = [np.flatnonzero(~safe), rng.permutation(len(times))]
+        batches += [rng.choice(len(times), k, replace=False) for k in (2, 3, 17, 600)]
+        for rows in batches:
+            assert (straight_runs(cfg, points[rows], times[rows]) == safe[rows]).all()
+
+    def test_the_dip_run_is_found_among_special1s_runs(self, monkeypatch, special1_runs):
+        """One zeros_found call over the DIP run and special1's runs, at
+        special1's slope bound (3, above DIP's 1.81), finds the dip and
+        keeps every other row's result."""
+        cfg, points, times = special1_runs
+        searches = []
+
+        def recorded(*args):
+            searches.append((args, zeros_found(*args)))
+            return searches[-1][1]
+
+        monkeypatch.setattr(dominance, "zeros_found", recorded)
+        straight_runs(cfg, points, times)
+        [((f, a, b, lip), found)] = searches
+        dip, t = self.dip_cfg(), self.DIP["t"]
+        ctrl = steer_to(dip.attacker, dip.attacker_params, dip.target, t)
+        both = lambda i, s: np.where(i == 0, clearance_at(dip, ctrl, s),
+                                     f(np.maximum(i - 1, 0), s))
+        together = zeros_found(both, np.append(0.0, a), np.append(t, b), lip)
+        assert together[0] and (together[1:] == found).all()
 
     # a step of a bench random game: the target run's clearance is positive
     # at the 200 samples t k / 200 (k = 1..200) but below zero for about
@@ -574,6 +628,7 @@ class TestStraightRuns:
         assert (clearance_at(cfg, ctrl, np.linspace(t / 200, t, 200)) > 0.0).all()
         assert clearance_at(cfg, ctrl, 0.081) < 0.0
         assert not straight_runs(cfg, [(0.0, 0.0)], [t])[0]
+        assert not straight_runs(cfg, [(0.0, 0.0), (0.0, 0.0)], [t, t]).any()
         assert can_reach_target(cfg, [t]) is None
 
     def test_target_of_the_dip_state_is_r2(self):

@@ -12,9 +12,11 @@ import pytest
 
 from reachavoid import (AttackerPolicy, Control, DefenderPolicy,
                         InfeasibleTargetError, OutcomeKind, Scenario, Vec2,
-                        best_r3_point, first_zero, propagate, pure_pursuit, run,
-                        strategy_one, tangency_windows)
+                        best_r3_point, first_zero, isochron, propagate, pure_pursuit,
+                        run, steer_to, strategy_one, tangency_windows)
 import reachavoid.engine
+from reachavoid import dominance, strategies
+from reachavoid.dominance import straight_runs
 from reachavoid.engine import _dists
 from reachavoid.scenario_io import TRACE_COLUMNS, loads, trace_to_csv
 
@@ -503,10 +505,41 @@ class TestTargetRunPasses:
     for runs with an open end.  Pinned per bundled game are the calls of
     `dominance.steer_controls`; special1's one call is `_annotate_segments`,
     for the region strategy's certificate, and each of case3's is a target
-    run's array pass."""
+    run's control, searched with float `first_zero`."""
 
     @pytest.mark.parametrize("game, calls", [
         ("case1", 0), ("case2", 0), ("case3", 3), ("special1", 1), ("special2", 0)])
     def test_array_passes_per_bundled_game(self, steer_controls_calls, game, calls):
         run(record.GAMES[game]())
         assert len(steer_controls_calls) == calls
+
+    def test_a_target_check_is_one_float_search(self, monkeypatch):
+        """can_reach_target sends straight_runs one run per arrival time it
+        tries, and a single run takes float first_zero over [0, t], which
+        costs less than an array search of one row.  Over the first 16
+        seed-1 random games, a try makes that one call exactly when its end
+        is open and steer_to accepts it, and no game searches on arrays."""
+        searches, tries = [], []
+
+        def tried(cfg, points, times):
+            n = len(searches)
+            out = straight_runs(cfg, points, times)
+            tries.append((cfg, points, times, searches[n:]))
+            return out
+
+        monkeypatch.setattr(strategies, "straight_runs", tried)
+        monkeypatch.setattr(dominance, "first_zero",
+                            lambda *args: searches.append(args[1:3]) or first_zero(*args))
+        monkeypatch.setattr(dominance, "zeros_found",
+                            lambda *args: pytest.fail("an array search in a game"))
+        for sc in random_games(1, 16):
+            run(sc)
+        for cfg, [(x, y)], [t], made in tries:
+            disc = isochron(cfg.defender, cfg.defender_params, t)
+            try:
+                steer_to(cfg.attacker, cfg.attacker_params, Vec2(x, y), t)
+            except InfeasibleTargetError:
+                assert not made
+                continue
+            assert made == ([(0.0, t)] if (Vec2(x, y) - disc.center).norm() > disc.radius else [])
+        assert 0 < sum(bool(made) for *_, made in tries) < len(tries)

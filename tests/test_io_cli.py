@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from reachavoid import (AttackerPolicy, Control, RegionLabel, barrier_time, cusp
 from reachavoid.cli import main
 from reachavoid.scenario_io import (SchemaError, dumps, load, loads,
                                     regions_to_csv, trace_to_csv)
-from reachavoid.svgplot import SvgCanvas, _f
+from reachavoid.svgplot import LABEL_COLORS, SvgCanvas, _f
 
 from golden import record
 
@@ -434,4 +435,29 @@ class TestPinnedDigests:
                    for name in ("regions.csv", "regions.svg")}
         assert digests == {
             "regions.csv": "1ad1502f7057aef6cff04ef3462d56374b4f7c9091655012f72c4799a8a2182d",
-            "regions.svg": "cc0c8d5aee80cdf764f00288cfd4bf32e6d1cad8f9fcf936f1fa519ced9c3199"}
+            # one rect per run of equal labels along a row (122, not 3,072)
+            "regions.svg": "f833af6c0bf26d99749dbe23e63977eca9976c65c781cb0090cf003f5d571c3b"}
+
+    def test_special1_rects_cover_the_labelled_cells(self, tmp_path, capsys):
+        """Each cell of regions.csv lies in exactly one rect of regions.svg,
+        in its label's colour, and the rects cover nothing else."""
+        assert main(["regions", str(SCENARIOS / "special1.json"),
+                     "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "regions.csv").read_text().split("\n")[1:-1]]
+        xs = sorted({float(x) for x, _, _ in rows})
+        ys = sorted({float(y) for _, y, _ in rows})
+        w, h = xs[1] - xs[0], ys[1] - ys[0]
+        want = {(xs.index(float(x)), ys.index(float(y))): LABEL_COLORS[RegionLabel(label)]
+                for x, y, label in rows}
+        rects = re.findall(r'<rect x="(\S+)" y="(\S+)" width="(\S+)" height="(\S+)" '
+                           r'fill="(\S+)"', (tmp_path / "regions.svg").read_text())
+        assert len(rects) == 122
+        drawn = {}
+        for x, y, width, height, fill in rects:
+            i, j = round((float(x) - xs[0]) / w + 0.5), round((float(y) - ys[0]) / h + 0.5)
+            assert float(height) == float(_f(h))
+            for k in range(round(float(width) / w)):
+                assert (i + k, j) not in drawn
+                drawn[i + k, j] = fill
+        assert drawn == want

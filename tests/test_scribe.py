@@ -13,7 +13,7 @@ from reachavoid import (Branch, Control, DomainError, PlayerParams, PlayerState,
                         reach_times_many, run, scribe_times, scribe_times_batch)
 from reachavoid import scribe
 from reachavoid.scenario_io import load
-from reachavoid.scribe import ROOT_TOL, gap_d1, gap_d2, reach_times_players
+from reachavoid.scribe import ROOT_TOL, gap_d1, gap_d2, reach_times_players, zeros_found
 
 from conftest import random_player
 
@@ -186,6 +186,56 @@ class TestFirstZero:
         # f(0) + f(1) > 1 * (1 - 0)
         assert first_zero(f, 0.0, 1.0, 1.0) is None
         assert calls == [0.0, 1.0]
+
+
+class TestZerosFound:
+    """zeros_found against first_zero row by row, and at the ends of its
+    search."""
+
+    @staticmethod
+    def batch(fs, calls=None):
+        """zeros_found's f(i, t) over the float functions fs, one per row;
+        each call's (rows, times) go to `calls`."""
+        def f(i, t):
+            if calls is not None:
+                calls.append((i.tolist(), t.tolist()))
+            return np.array([fs[k](s) for k, s in zip(i.tolist(), t.tolist())])
+        return f
+
+    def test_equals_first_zero_on_every_row(self):
+        # cos(w t) + c with |f'| <= w <= 40: no zero for c > 1, else one at
+        # acos(-c) / w, inside or past b; a dip 1e-9 wide; a positive touch
+        rng = np.random.default_rng(43)
+        fs = [lambda t, c=0.7123456789: min(1.0, abs(t - c) - 5e-10),
+              lambda t: abs(t - 0.3) + 1e-12]
+        for _ in range(60):
+            w, c = rng.uniform(0.5, 40.0), rng.uniform(0.5, 1.5)
+            fs.append(lambda t, w=w, c=c: math.cos(w * t) + c)
+        a = rng.uniform(0.0, 0.5, len(fs))
+        b = a + rng.uniform(0.1, 3.0, len(fs))
+        want = [first_zero(f, u, v, 40.0) is not None for f, u, v in zip(fs, a, b)]
+        assert 10 < sum(want) < len(fs) - 10
+        for rows in (np.arange(len(fs)), np.random.default_rng(44).permutation(len(fs))):
+            found = zeros_found(self.batch([fs[k] for k in rows]), a[rows], b[rows], 40.0)
+            assert found.tolist() == [want[k] for k in rows]
+
+    def test_a_zero_at_a_is_found_without_a_pass(self):
+        calls = []
+        fs = [lambda t: -1.0, lambda t: t - 1.0, lambda t: 2.0 + 0.5 * math.sin(t)]
+        found = zeros_found(self.batch(fs, calls), [0.0, 1.0, 0.0], [1.0, 2.0, 1.0], 1.0)
+        assert found.tolist() == [True, True, False]
+        # the ends decide all three rows: f(a) <= 0, or f(a) + f(b) > lip (b - a)
+        assert calls == [([0, 1, 2, 0, 1, 2], [0.0, 1.0, 0.0, 1.0, 2.0, 1.0])]
+
+    def test_a_zero_only_at_b_is_found(self):
+        f = lambda t: 1.3 - t
+        assert first_zero(f, 0.0, 1.3, 1.0) == 1.3
+        assert zeros_found(self.batch([f, f]), [0.0, 0.0], [1.3, 1.2], 1.0).tolist() == \
+            [True, False]
+
+    def test_an_empty_batch(self):
+        found = zeros_found(self.batch([]), [], [], 1.0)
+        assert found.dtype == bool and found.shape == (0,)
 
 
 class TestScribeTimes:
