@@ -10,9 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from reachavoid import (GameConfig, PlayerParams, PlayerState, Vec2,
-                        apollonius_circle, capture_boundary, r3_certificates,
-                        region_map)
-from reachavoid.mrr import mrr_boundary
+                        apollonius_circle, r3_certificates, region_map)
 from reachavoid.svgplot import region_figure
 
 out = Path(__file__).parent / "out"
@@ -21,15 +19,7 @@ out.mkdir(exist_ok=True)
 
 def render(cfg, window, resolution, name):
     xs, ys, labels = region_map(cfg, window, resolution)
-    overlays = {"boundary_L": [s.points for s in capture_boundary(cfg).segments]}
-    lines = []
-    for st, par in ((cfg.attacker, cfg.attacker_params),
-                    (cfg.defender, cfg.defender_params)):
-        if st.vel.norm() > 0.0:
-            lines.append(mrr_boundary(st, par).polygon())
-    if lines:
-        overlays["boundary_mrr"] = lines
-    (out / name).write_text(region_figure(cfg, xs, ys, labels, overlays))
+    (out / name).write_text(region_figure(cfg, xs, ys, labels))
     flat = [l.value for row in labels for l in row]
     print(f"{name}: " + ", ".join(f"{v}={flat.count(v)}"
                                   for v in sorted(set(flat))))

@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import scenario_io, svgplot
-from .dominance import capture_boundary, region_map
+from .dominance import region_map
 from .engine import run
 from .mrr import mrr_boundary
 from .scenario_io import SchemaError
@@ -104,17 +104,8 @@ def cmd_regions(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "regions.csv").write_text(scenario_io.regions_to_csv(xs, ys, labels))
-    boundary = capture_boundary(cfg)
-    overlays = {"boundary_L": [seg.points for seg in boundary.segments]}
-    mrr_lines = [mrr_boundary(state, params).polygon()
-                 for state, params in ((cfg.attacker, cfg.attacker_params),
-                                       (cfg.defender, cfg.defender_params))
-                 if state.vel.norm() > 0.0]
-    if mrr_lines:
-        overlays["boundary_mrr"] = mrr_lines
-    (out / "regions.svg").write_text(
-        svgplot.region_figure(cfg, xs, ys, labels, overlays))
-    counts = Counter(lab.value for row in labels for lab in row)
+    (out / "regions.svg").write_text(svgplot.region_figure(cfg, xs, ys, labels))
+    counts = Counter(lab._value_ for row in labels for lab in row)
     print(" ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     return 0
 

@@ -201,6 +201,7 @@ def trace_to_csv(trace: GameTrace) -> str:
 def regions_to_csv(xs, ys, labels) -> str:
     lines = ["x,y,label"]
     cols = [f"{float(x):.17g}," for x in xs]
+    # `_value_` is the member's plain attribute: ten times cheaper than `.value`
     for y_text, row in zip((f"{float(y):.17g}," for y in ys), labels):
-        lines += [x_text + y_text + lab.value for x_text, lab in zip(cols, row)]
+        lines += [x_text + y_text + lab._value_ for x_text, lab in zip(cols, row)]
     return "\n".join(lines) + "\n"

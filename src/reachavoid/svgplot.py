@@ -12,11 +12,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dominance import GameConfig, RegionLabel
+from .dominance import GameConfig, RegionLabel, capture_boundary
 from .engine import GameTrace
-from .mrr import MrrBoundary
+from .mrr import MrrBoundary, mrr_boundary
 
 _FMT = "{:.6f}"
+# overlay vertices are drawn to within this many pixels of the sampled curve
+OVERLAY_TOL_PX = 0.25
+# samples per branch of an overlaid MRR boundary: at most 0.27 px from 2,048
+MRR_SAMPLES = 64
 
 LABEL_COLORS = {
     RegionLabel.R_I: "#f4c95d",
@@ -31,6 +35,34 @@ LABEL_COLORS = {
 def _f(v: float) -> str:
     out = _FMT.format(v)
     return "0.000000" if out == "-0.000000" else out
+
+
+def thin(points: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted indices of a subsequence of the (n, 2) polyline `points`, with both
+    ends, that every vertex lies within `tol` of.  As in Douglas and Peucker (1973) a
+    block within `tol` of its chord is drawn as the chord and any other splits, but
+    into eighths, so that each level is one array pass."""
+    n = len(points)
+    if n < 3:
+        return np.arange(n)
+    k = 8 ** (((n - 2).bit_length() - 1) // 3)  # the first split: at most 8 blocks of k
+    # x + iy, the last vertex repeated up to a whole number of blocks
+    z = np.ascontiguousarray(points, dtype=float).view(complex).ravel()
+    z = np.concatenate([z, z[-1:].repeat((1 - n) % k)])
+    rows, ends, starts, kept = z[None, :-1], z[-1:], np.zeros(1, int), [np.array([n - 1])]
+    while True:
+        chord = ends - rows[:, 0]
+        # each vertex in its block's chord frame: along the chord and across it
+        w = (rows - rows[:, :1]) * np.exp(-1j * np.angle(chord))[:, None]
+        beyond = w.real - np.clip(w.real, 0.0, np.abs(chord)[:, None])
+        far = (beyond * beyond + w.imag * w.imag).max(axis=1) > tol * tol
+        kept.append(starts[~far])
+        if not far.any():
+            return np.unique(np.minimum(np.concatenate(kept), n - 1))
+        rows, starts = rows[far], starts[far, None]
+        ends = np.column_stack([rows[:, k::k], ends[far]]).ravel()
+        starts = (starts + np.arange(0, rows.shape[1], k)).ravel()
+        rows, k = rows.reshape(-1, k), k // 8
 
 
 @dataclass
@@ -74,10 +106,13 @@ class SvgCanvas:
     def close_layer(self) -> None:
         self.elements.append("</g>")
 
+    def layer(self, name: str, polylines, color: str, width: float) -> None:
+        self.open_layer(name)
+        for points in polylines:
+            self.polyline(points, color, width)
+        self.close_layer()
+
     def render(self) -> str:
-        if not self.xs:
-            self.xs = [0.0, 1.0]
-            self.ys = [0.0, 1.0]
         xmin, xmax = min(self.xs), max(self.xs)
         ymin, ymax = min(self.ys), max(self.ys)
         dx = (xmax - xmin) or 1.0
@@ -96,22 +131,17 @@ class SvgCanvas:
 def trajectory_figure(trace: GameTrace) -> str:
     cfg = trace.scenario.cfg
     cv = SvgCanvas()
-    atk = [(r.attacker.pos.x, r.attacker.pos.y) for r in trace.rows]
-    dfd = [(r.defender.pos.x, r.defender.pos.y) for r in trace.rows]
-    cv.open_layer("attacker_path")
-    cv.polyline(atk, "#c0392b", 2.0)
-    cv.close_layer()
-    cv.open_layer("defender_path")
-    cv.polyline(dfd, "#2d6cdf", 2.0)
-    cv.close_layer()
-    scale = 0.015 * max(1e-9, max(
-        (max(p[0] for p in atk + dfd) - min(p[0] for p in atk + dfd)),
-        (max(p[1] for p in atk + dfd) - min(p[1] for p in atk + dfd))))
+    # a game decided at t = 0 has no rows: its paths are the start positions
+    start = [cfg.attacker.pos.x, cfg.attacker.pos.y, cfg.defender.pos.x, cfg.defender.pos.y]
+    xy = trace.rows.array[:, [1, 2, 5, 6]].tolist() or [start]  # xA, yA, xD, yD
+    atk, dfd = [p[:2] for p in xy], [p[2:] for p in xy]
+    cv.layer("attacker_path", [atk], "#c0392b", 2.0)
+    cv.layer("defender_path", [dfd], "#2d6cdf", 2.0)
+    scale = 0.015 * max(1e-9, float(np.ptp(atk + dfd, axis=0).max()))
     cv.marker(cfg.target.x, cfg.target.y, "#1d8348", r=scale)
-    if atk:
-        cv.marker(atk[0][0], atk[0][1], "#c0392b", r=scale)
-        cv.marker(dfd[0][0], dfd[0][1], "#2d6cdf", r=scale)
-        cv.marker(atk[-1][0], atk[-1][1], "#000000", r=scale * 0.8)
+    cv.marker(atk[0][0], atk[0][1], "#c0392b", r=scale)
+    cv.marker(dfd[0][0], dfd[0][1], "#2d6cdf", r=scale)
+    cv.marker(atk[-1][0], atk[-1][1], "#000000", r=scale * 0.8)
     return cv.render()
 
 
@@ -119,39 +149,32 @@ def distance_figure(trace: GameTrace) -> str:
     cv = SvgCanvas(height=400)
     ad = [(r.t, r.dist_ad) for r in trace.rows]
     at = [(r.t, r.dist_at) for r in trace.rows]
-    cv.open_layer("axes")
     tmax = max((r.t for r in trace.rows), default=1.0)
     dmax = max([r.dist_at for r in trace.rows] + [r.dist_ad for r in trace.rows],
                default=1.0)
-    cv.polyline([(0.0, 0.0), (tmax, 0.0)], "#888888", 1.0)
-    cv.polyline([(0.0, 0.0), (0.0, dmax)], "#888888", 1.0)
-    cv.close_layer()
-    cv.open_layer("dist_attacker_defender")
-    cv.polyline(ad, "#2d6cdf", 1.5)
-    cv.close_layer()
-    cv.open_layer("dist_attacker_target")
-    cv.polyline(at, "#c0392b", 1.5)
-    cv.close_layer()
+    cv.layer("axes", [[(0.0, 0.0), (tmax, 0.0)], [(0.0, 0.0), (0.0, dmax)]], "#888888", 1.0)
+    cv.layer("dist_attacker_defender", [ad], "#2d6cdf", 1.5)
+    cv.layer("dist_attacker_target", [at], "#c0392b", 1.5)
     return cv.render()
 
 
 def mrr_figure(boundary: MrrBoundary) -> str:
     cv = SvgCanvas()
     poly = boundary.polygon()
-    cv.open_layer("region_boundary")
-    cv.polyline([(p[0], p[1]) for p in poly] + [(poly[0][0], poly[0][1])],
-                "#8a4fff", 1.5)
-    cv.close_layer()
     span = max(float(np.ptp(poly[:, 0])), float(np.ptp(poly[:, 1])), 1e-9)
+    ring = np.vstack([poly, poly[:1]])
+    cv.layer("region_boundary", [ring[thin(ring, OVERLAY_TOL_PX * span / cv.width)].tolist()],
+             "#8a4fff", 1.5)
     cv.marker(boundary.x_s.x, boundary.x_s.y, "#000000", r=0.02 * span)
     for c in boundary.cusps:
         cv.marker(c.x, c.y, "#444444", r=0.015 * span)
     return cv.render()
 
 
-def region_figure(cfg: GameConfig, xs, ys, labels,
-                  overlays: dict | None = None) -> str:
-    """Layered region map: per label a layer of row-run rects; overlays of (n, 2) arrays."""
+def region_figure(cfg: GameConfig, xs, ys, labels) -> str:
+    """Layered region map: per label a layer of row-run rects, then a layer for L
+    and one for the moving players' MRR boundaries, thinned to OVERLAY_TOL_PX of
+    a pixel, the grid window's longer side over the figure's width."""
     cv = SvgCanvas()
     w, h = float(xs[1] - xs[0]), float(ys[1] - ys[0])
     # each cell's corner: formatted once per column and once per row
@@ -171,13 +194,13 @@ def region_figure(cfg: GameConfig, xs, ys, labels,
             cv.open_layer(f"region_{label.value}")
             cv.elements.extend(rects)
             cv.close_layer()
-    for name, polylines in (overlays or {}).items():
-        cv.open_layer(name)
-        color = LABEL_COLORS[RegionLabel.BOUNDARY_L if "boundary_L" in name
-                             else RegionLabel.BOUNDARY_MRR]
-        for pts in polylines:
-            cv.polyline(pts.tolist(), color, 1.2)
-        cv.close_layer()
+    tol = OVERLAY_TOL_PX * max(xs[-1] - xs[0], ys[-1] - ys[0]) / cv.width
+    mrr = [mrr_boundary(state, params, MRR_SAMPLES).polygon() for state, params in
+           ((cfg.attacker, cfg.attacker_params), (cfg.defender, cfg.defender_params))
+           if state.vel.norm() > 0.0]
+    for label, lines in ((RegionLabel.BOUNDARY_L, [s.points for s in capture_boundary(cfg).segments]),
+                         (RegionLabel.BOUNDARY_MRR, mrr)):
+        cv.layer(label.value, [p[thin(p, tol)].tolist() for p in lines], LABEL_COLORS[label], 1.2)
     cv.marker(cfg.target.x, cfg.target.y, "#1d8348")
     cv.marker(cfg.attacker.pos.x, cfg.attacker.pos.y, "#c0392b")
     cv.marker(cfg.defender.pos.x, cfg.defender.pos.y, "#2d6cdf")

@@ -8,16 +8,40 @@ from pathlib import Path
 
 import pytest
 
-from reachavoid import (AttackerPolicy, Control, RegionLabel, barrier_time, cusp_time,
-                        r3_certificates, run, tangency_windows)
+from reachavoid import (AttackerPolicy, Control, RegionLabel, barrier_time,
+                        capture_boundary, cusp_time, mrr_boundary, r3_certificates,
+                        region_map, run, tangency_windows)
 from reachavoid.cli import main
 from reachavoid.scenario_io import (SchemaError, dumps, load, loads,
                                     regions_to_csv, trace_to_csv)
-from reachavoid.svgplot import LABEL_COLORS, SvgCanvas, _f
+from reachavoid.svgplot import LABEL_COLORS, SvgCanvas, _f, region_figure, thin
 
 from golden import record
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def polyline_distance(points, polyline):
+    """Distance from each of the (n, 2) `points` to the (m, 2) polyline, by
+    brute force over every segment, 128 points at a time."""
+    import numpy as np
+    a = polyline[:-1][None]
+    ab = polyline[1:][None] - a
+    sq = np.where((ab * ab).sum(-1) > 0.0, (ab * ab).sum(-1), 1.0)
+    out = []
+    for q in np.array_split(np.asarray(points), max(1, len(points) // 128)):
+        aq = q[:, None] - a
+        s = np.clip((aq * ab).sum(-1) / sq, 0.0, 1.0)
+        out.append(np.hypot(*np.moveaxis(aq - s[..., None] * ab, -1, 0)).min(axis=1))
+    return np.concatenate(out)
+
+
+def svg_polylines(svg: str, layer: str):
+    """The (m, 2) vertex arrays of the polylines in one layer of an SVG."""
+    import numpy as np
+    body = re.search(rf'<g id="{layer}">(.*?)</g>', svg, re.S).group(1)
+    return [np.array([[float(v) for v in pair.split(",")] for pair in pts.split()])
+            for pts in re.findall(r'points="([^"]*)"', body)]
 
 
 def minimal_doc(**overrides):
@@ -163,6 +187,61 @@ class TestSvg:
             assert cv.xs == values and cv.ys == values[::-1]
 
 
+class TestThin:
+    """`svgplot.thin` keeps a subsequence of a polyline, with both ends, that
+    every vertex lies within the tolerance of."""
+
+    @staticmethod
+    def check(points, tol):
+        import numpy as np
+        points = np.asarray(points, dtype=float)
+        kept = thin(points, tol)
+        assert kept.dtype.kind == "i"
+        assert kept[0] == 0 and kept[-1] == len(points) - 1
+        assert (np.diff(kept) > 0).all()
+        assert polyline_distance(points, points[kept]).max() <= tol
+        return kept.tolist()
+
+    def test_two_points(self):
+        assert self.check([[0.0, 0.0], [1.0, 2.0]], 1e-3) == [0, 1]
+
+    @pytest.mark.parametrize("n", [3, 9, 10, 64, 65, 513, 4092])
+    def test_straight_line_keeps_its_ends(self, n):
+        import numpy as np
+        t = np.linspace(-1.0, 2.0, n)
+        assert self.check(np.column_stack([t, 0.5 - 0.3 * t]), 1e-9) == [0, n - 1]
+
+    def test_closed_loop(self):
+        """Both ends at one point, as at L's tangency tip: the whole loop's
+        chord has zero length, and the loop is still drawn."""
+        import numpy as np
+        a = np.linspace(0.0, 2.0 * np.pi, 4093)
+        loop = np.column_stack([np.cos(a) - 1.0, np.sin(a)])
+        loop[-1] = loop[0]
+        assert len(self.check(loop, 1e-3)) > 8
+        assert self.check(loop, 10.0) == [0, 4092]
+
+    def test_repeated_vertices(self):
+        import numpy as np
+        assert self.check(np.ones((50, 2)), 1e-6) == [0, 49]
+        corners = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+        path = np.repeat(corners, 7, axis=0)
+        drawn = path[self.check(path, 1e-6)]
+        assert drawn[np.r_[True, (np.diff(drawn, axis=0) != 0).any(axis=1)]].tolist() == corners
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_walks(self, seed):
+        """Rough polylines of many lengths, at tolerances from a thousandth of
+        their extent to more than all of it."""
+        import numpy as np
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 1000))
+        walk = np.cumsum(rng.normal(size=(n, 2)), axis=0)
+        for tol in (1e-3, 0.1, 1.0, 10.0, 1e4):
+            self.check(walk, tol)
+        assert self.check(walk, 0.0) == list(range(n))
+
+
 class TestCliSimulate:
     def test_case1_artifacts_and_consistency(self, tmp_path, capsys):
         rc = main(["simulate", str(SCENARIOS / "case1.json"),
@@ -183,6 +262,26 @@ class TestCliSimulate:
         last = (tmp_path / "trace.csv").read_text().strip().split("\n")[-1]
         dist_at = float(last.split(",")[-1])
         assert dist_at == pytest.approx(0.330, abs=0.01)
+
+    @pytest.mark.parametrize("attacker, defender, outcome", [
+        ([0.005, 0.0], [2.0, 0.5], "target_reached"),
+        ([1.0, 0.0], [1.001, 0.0], "captured"),
+    ])
+    def test_game_decided_at_t0(self, tmp_path, capsys, attacker, defender, outcome):
+        """`run` returns a trace with no rows; the trajectory figure draws the
+        start positions."""
+        doc = minimal_doc()
+        doc["players"]["attacker"]["pos"] = attacker
+        doc["players"]["defender"]["pos"] = defender
+        path = tmp_path / "t0.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"{outcome} t=0.000000 ")
+        assert err == ""
+        assert (tmp_path / "o" / "trace.csv").read_text().count("\n") == 1
+        assert f'cx="{_f(attacker[0])}"' in (tmp_path / "o" / "trajectories.svg").read_text()
+        assert (tmp_path / "o" / "distances.svg").exists()
 
     def test_svg_bytes_deterministic(self, tmp_path):
         a = tmp_path / "a"
@@ -339,6 +438,25 @@ class TestCliMrr:
         assert (tmp_path / "mrr.csv").exists()
         assert (tmp_path / "mrr.svg").exists()
 
+    def test_special1_defender_files(self, tmp_path, capsys):
+        """mrr.csv keeps every sample: its digest was recorded before mrr.svg
+        was thinned.  mrr.svg draws a subsequence of the samples that every
+        sample lies within a quarter pixel of (the boundary's longer extent
+        over 640 px), up to the 6-decimal rounding."""
+        import numpy as np
+        assert main(["mrr", str(SCENARIOS / "special1.json"), "--player", "defender",
+                     "--out", str(tmp_path)]) == 0
+        csv = (tmp_path / "mrr.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == \
+            "3b2f2789ee56add2c25bbe62bd023196c7a5e795e6c350177ddf595ca06a3f95"
+        ring = np.array([[float(v) for v in line.split(",")]
+                         for line in csv.decode().split("\n")[1:-1]])
+        ring = np.vstack([ring, ring[:1]])
+        (drawn,) = svg_polylines((tmp_path / "mrr.svg").read_text(), "region_boundary")
+        assert len(drawn) < len(ring) / 10
+        pixel = np.ptp(ring, axis=0).max() / 640
+        assert polyline_distance(ring, drawn).max() < 0.25 * pixel + 1e-6
+
     def test_at_rest_player_reports_empty(self, tmp_path, capsys):
         rc = main(["mrr", str(SCENARIOS / "case3.json"),
                    "--player", "attacker", "--out", str(tmp_path)])
@@ -435,8 +553,35 @@ class TestPinnedDigests:
                    for name in ("regions.csv", "regions.svg")}
         assert digests == {
             "regions.csv": "1ad1502f7057aef6cff04ef3462d56374b4f7c9091655012f72c4799a8a2182d",
-            # one rect per run of equal labels along a row (122, not 3,072)
-            "regions.svg": "f833af6c0bf26d99749dbe23e63977eca9976c65c781cb0090cf003f5d571c3b"}
+            # one rect per run of equal labels along a row (122, not 3,072);
+            # overlays thinned to a quarter pixel, MRR_SAMPLES per MRR branch
+            "regions.svg": "c3055abb5695d8d1a00fb9c55ea690c524a63a4b853201ef32bbd0454abfd14a"}
+        assert (tmp_path / "regions.svg").stat().st_size < 50_000
+
+    @pytest.mark.parametrize("game", ["special1", "seed37", "seed77", "seed140"])
+    def test_dense_curves_lie_near_the_drawn_overlays(self, game):
+        """Every vertex of L at 2,048 sweep samples and of each moving player's
+        MRR boundary at 512 samples per branch lies within half a pixel (the
+        grid window's longer side over 640 px) of its layer's polylines."""
+        import numpy as np
+        if game.startswith("seed"):
+            cfg, window = record._seeded_game(int(game[4:]))
+        else:
+            doc = load(SCENARIOS / f"{game}.json")
+            cfg, window = doc.scenario.cfg, doc.render.window
+        svg = region_figure(cfg, *region_map(cfg, window, (2, 2)))
+        pixel = max(window[1] - window[0], window[3] - window[2]) / 640
+        dense = {"boundary_L": [seg.points for seg in capture_boundary(cfg, 2048).segments],
+                 "boundary_mrr": [mrr_boundary(state, params, 512).polygon()
+                                  for state, params in ((cfg.attacker, cfg.attacker_params),
+                                                        (cfg.defender, cfg.defender_params))
+                                  if state.vel.norm() > 0.0]}
+        for layer, curves in dense.items():
+            drawn = svg_polylines(svg, layer)
+            assert len(drawn) == len(curves) > 0
+            for curve in curves:
+                near = np.min([polyline_distance(curve, line) for line in drawn], axis=0)
+                assert near.max() < 0.5 * pixel
 
     def test_special1_rects_cover_the_labelled_cells(self, tmp_path, capsys):
         """Each cell of regions.csv lies in exactly one rect of regions.svg,
