@@ -141,23 +141,24 @@ class CaptureBoundary:
 def intersection_points(cfg: GameConfig, ts: np.ndarray):
     """Vectorized circle-circle intersections of the two isochrones.
 
-    Returns (plus, minus, valid): two (n, 2) arrays of the intersection pair
-    and a boolean mask of sweep times where the circles genuinely intersect.
+    Returns (pair, valid): the intersection pair as one (2, n, 2) array, the
+    plus points first and then the minus points, and a boolean mask of sweep
+    times where the circles genuinely intersect.
     """
     s = damped_time(cfg.mu, ts)
     ax, ay, ra = isochron_xyr(cfg.attacker, cfg.attacker_params, ts, s)
     dx, dy, rd = isochron_xyr(cfg.defender, cfg.defender_params, ts, s)
     ux, uy = dx - ax, dy - ay
     d = np.hypot(ux, uy)
-    valid = (d > 0.0) & (d <= ra + rd) & (d >= np.abs(ra - rd))
-    dd = np.where(d > 0.0, d, 1.0)
-    a = (dd * dd + ra * ra - rd * rd) / (2.0 * dd)
-    h = np.sqrt(np.clip(ra * ra - a * a, 0.0, None))
+    apart, ra2 = d > 0.0, ra * ra
+    valid = apart & (d <= ra + rd) & (d >= np.abs(ra - rd))
+    dd = np.where(apart, d, 1.0)
+    a = (dd * dd + ra2 - rd * rd) / (2.0 * dd)
+    # np.clip with no upper bound is this np.maximum
+    h = np.sqrt(np.maximum(ra2 - a * a, 0.0))
     ux, uy = ux / dd, uy / dd
-    mx, my = ax + a * ux, ay + a * uy
-    plus = np.stack([mx - h * uy, my + h * ux], axis=1)
-    minus = np.stack([mx + h * uy, my - h * ux], axis=1)
-    return plus, minus, valid
+    mx, my, hux, huy = ax + a * ux, ay + a * uy, h * ux, h * uy
+    return np.array([[mx - huy, my + hux], [mx + huy, my - hux]]).transpose(0, 2, 1), valid
 
 
 def _l_point(cfg: GameConfig, side: float):
@@ -228,7 +229,7 @@ def capture_boundary(cfg: GameConfig, samples: int = SWEEP_SAMPLES) -> CaptureBo
     for a, b in intervals:
         n = max(8, int(round(n_samples * (b - a) / total))) if total > 0 else 8
         ts = np.linspace(a, b, n)
-        plus, minus, valid = intersection_points(cfg, ts)
+        (plus, minus), valid = intersection_points(cfg, ts)
         # the ends are tangency times, where h = 0 in exact arithmetic: an end
         # sample stays only if `valid` at the solved time, so rounding decides
         loop_pts = np.vstack([plus[valid], minus[valid][::-1]])
@@ -299,10 +300,10 @@ class BoundaryMinimum:
 def _dip_candidates(dist: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Mask of the valid samples along the last axis of `dist` no farther than
     either neighbour (inf beyond the ends), and of valid end samples."""
-    inf = np.full((*dist.shape[:-1], 1), np.inf)
-    padded = np.concatenate((inf, dist, inf), axis=-1)
-    keep = valid & (dist <= padded[..., :-2]) & (dist <= padded[..., 2:])
-    keep[..., [0, -1]] = valid[[0, -1]]
+    keep = np.empty(dist.shape, dtype=bool)
+    keep[...] = valid
+    inner = dist[..., 1:-1]
+    keep[..., 1:-1] &= (inner <= dist[..., :-2]) & (inner <= dist[..., 2:])
     return keep
 
 
@@ -327,8 +328,7 @@ def boundary_minima(cfg: GameConfig, samples: int = 512) -> list[BoundaryMinimum
     found: list[tuple[float, ...]] = []
     for a, b in intervals:
         ts = np.linspace(a, b, samples)
-        plus, minus, valid = intersection_points(cfg, ts)
-        pts = np.stack([plus, minus])
+        pts, valid = intersection_points(cfg, ts)
         dist = np.where(valid, np.hypot(pts[..., 0] - tx, pts[..., 1] - ty), np.inf)
         last = len(ts) - 1
         for side, rows, keep in zip((1.0, -1.0), pts, _dip_candidates(dist, valid)):
@@ -381,11 +381,10 @@ def _cond1_components(cfg: GameConfig) -> list[R3Component]:
     if len(outs) < 2 or outs[1] >= inn.first:
         return []
     t1, t2 = outs[0], outs[1]
-    # the thrustless path is the attacker's drift center; lip: both speed caps
-    lip = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
-    if first_zero(_clearance(cfg, 0.0, 1.0, 0.0), t1, t2, lip) is not None:
+    # the thrustless path is the attacker's drift center
+    if first_zero(_clearance(cfg, 0.0, 1.0, 0.0), t1, t2, _run_lip(cfg)) is not None:
         return []
-    plus, minus, valid = intersection_points(cfg, np.linspace(t1, t2, 400))
+    (plus, minus), valid = intersection_points(cfg, np.linspace(t1, t2, 400))
     loop = np.vstack([plus[valid], minus[valid][::-1]])
     if len(loop) < 3:
         return []
@@ -499,7 +498,8 @@ def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     BOUNDARY_SLACK outside the attacker's disc, keeping f(t) just above 0: the
     conservative side).  Else its clearance f, with f(0) > 0 and |f'| <= lip =
     cap_A + cap_D (with SPEED_SLACK), must have no zero first_zero finds on
-    [0, t]: one array search (zeros_found) for many runs, floats for one."""
+    [0, t]: one array search (zeros_found) for many runs, floats for one
+    (`straight_run` is this whole test on floats)."""
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
     t = np.array(times, dtype=float)
     safe = np.zeros(len(t), dtype=bool)
@@ -510,14 +510,33 @@ def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     u, theta, ok = steer_controls(cfg.attacker, cfg.attacker_params, x[rows], y[rows], t[rows])
     rows, u, theta, t = rows[ok], u[ok], theta[ok], t[rows][ok]
     hx, hy = np.cos(theta), np.sin(theta)
-    cap = (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
     if len(rows) == 1:
         run = _clearance(cfg, float(u[0]), float(hx[0]), float(hy[0]))
-        safe[rows] = first_zero(run, 0.0, float(t[0]), cap) is None
+        safe[rows] = first_zero(run, 0.0, float(t[0]), _run_lip(cfg)) is None
     else:
         safe[rows] = ~zeros_found(lambda i, s: _clearance(cfg, u[i], hx[i], hy[i])(s),
-                                  np.zeros(len(t)), t, cap)
+                                  np.zeros(len(t)), t, _run_lip(cfg))
     return safe
+
+
+def straight_run(cfg: GameConfig, x: float, y: float, t: float) -> bool:
+    """straight_runs(cfg, [(x, y)], [t])[0] on floats, bit for bit: the same
+    operations without numpy's per-call costs on one-element arrays.  The
+    end test takes np.exp and np.hypot, the headings np.cos and np.sin, each
+    of which rounds a float exactly as it rounds an array element, and
+    steer_controls' float call is its array call's element."""
+    cx, cy, r = isochron_xyr(cfg.defender, cfg.defender_params, t,
+                             (1.0 - float(np.exp(-cfg.mu * t))) / cfg.mu)
+    if not np.hypot(x - cx, y - cy) > r:
+        return False
+    u, theta, ok = steer_controls(cfg.attacker, cfg.attacker_params, x, y, t)
+    return ok and first_zero(_clearance(cfg, u, float(np.cos(theta)), float(np.sin(theta))),
+                             0.0, t, _run_lip(cfg)) is None
+
+
+def _run_lip(cfg: GameConfig) -> float:
+    """The slope bound of a run's clearance: cap_A + cap_D, with SPEED_SLACK."""
+    return (cfg.attacker_params.speed_cap + cfg.defender_params.speed_cap) * (1.0 + SPEED_SLACK)
 
 
 def _reach_rows(cfg: GameConfig, point: Vec2, times=None) -> np.ndarray:

@@ -321,15 +321,19 @@ def _act(who: str, policy, step: _Step, *args) -> Control:
     return pure_pursuit(step.cfg, who) if ctrl is None else ctrl
 
 
-def _dists(cfg: GameConfig, a: PlayerState, d: PlayerState, ca: Control,
-           cd: Control, h: float) -> tuple[float, float]:
-    """Attacker-defender and attacker-target distances after time h: those of
-    propagate's states, without the states or its control-bound check."""
-    s = damped_time(cfg.mu, h)
-    ax, ay = path_xy(a, cfg.attacker_params, ca.u, math.cos(ca.theta), math.sin(ca.theta), h, s)
-    dx, dy = path_xy(d, cfg.defender_params, cd.u, math.cos(cd.theta), math.sin(cd.theta), h, s)
+def _dists(cfg: GameConfig, ca: Control, cd: Control):
+    """Attacker-defender and attacker-target distances after time h, as a
+    function of h: those of propagate's states, without the states or its
+    control-bound check, and with each heading's cosine and sine taken once."""
+    ha, hd = (math.cos(ca.theta), math.sin(ca.theta)), (math.cos(cd.theta), math.sin(cd.theta))
     tx, ty = cfg.target.x, cfg.target.y
-    return math.hypot(ax - dx, ay - dy), math.hypot(ax - tx, ay - ty)
+
+    def dists(h: float) -> tuple[float, float]:
+        s = damped_time(cfg.mu, h)
+        ax, ay = path_xy(cfg.attacker, cfg.attacker_params, ca.u, *ha, h, s)
+        dx, dy = path_xy(cfg.defender, cfg.defender_params, cd.u, *hd, h, s)
+        return math.hypot(ax - dx, ay - dy), math.hypot(ax - tx, ay - ty)
+    return dists
 
 
 def _event_time(cfg: GameConfig, ca: Control, cd: Control, dt: float,
@@ -338,9 +342,10 @@ def _event_time(cfg: GameConfig, ca: Control, cd: Control, dt: float,
     Speeds stay below the caps u_max/mu, so the capture margin over
     cap_A + cap_D and the target margin over cap_A have slopes of at most 1."""
     cap_a, cap_d = cfg.attacker_params.speed_cap, cfg.defender_params.speed_cap
+    dists = _dists(cfg, ca, cd)
 
     def margin(h: float) -> float:
-        dist_ad, dist_at = _dists(cfg, cfg.attacker, cfg.defender, ca, cd, h)
+        dist_ad, dist_at = dists(h)
         return min((dist_ad - sc.eps_capture) / (cap_a + cap_d),
                    (dist_at - sc.eps_target) / cap_a if cap_a > 0.0 else math.inf)
     return first_zero(margin, 0.0, dt, 1.0 + SPEED_SLACK)

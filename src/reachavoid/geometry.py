@@ -38,8 +38,9 @@ class Vec2:
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
+        if not (self.x.__class__ is float and self.y.__class__ is float):
+            object.__setattr__(self, "x", float(self.x))
+            object.__setattr__(self, "y", float(self.y))
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite vector components ({self.x}, {self.y})")
 

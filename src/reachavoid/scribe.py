@@ -39,6 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,17 +107,16 @@ class ScribeProblem:
     def __post_init__(self):
         if not self.mu > 0.0:
             raise ValueError("damping factor must be positive")
-        if self.delta_x.norm() == 0.0:
+        x, y, vx, vy = self.delta_x.x, self.delta_x.y, self.delta_v.x, self.delta_v.y
+        dx_norm, dx2 = math.hypot(x, y), x * x + y * y
+        if dx_norm == 0.0:
             raise ValueError("players must start at distinct positions")
         rc = _radius_coeff(self.u_a, self.u_d, self.mu, self.mode)
-        dx2 = self.delta_x.norm_sq()
-        derived = {"dx2": dx2, "dv2": self.delta_v.norm_sq(),
-                   "dxdv": self.delta_x.dot(self.delta_v), "radius_coeff": rc,
-                   "cap": _bracket_cap(self.mu, rc, self.delta_x.norm(),
-                                       self.delta_v.norm()),
-                   "scale": max(1.0, dx2)}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        # the fields are frozen: set them in the instance dict, in one call
+        self.__dict__.update(
+            dx2=dx2, dv2=vx * vx + vy * vy, dxdv=x * vx + y * vy, radius_coeff=rc,
+            cap=_bracket_cap(self.mu, rc, dx_norm, math.hypot(vx, vy)),
+            scale=max(1.0, dx2))
 
 
 @dataclass(frozen=True)
@@ -191,27 +191,38 @@ def _clock(p, t):
 def gap(p, t):
     """Squared center distance minus squared tangency radius at time t.
 
-    `p` is a ScribeProblem or a ScribeBatch; t a float or an array.
+    `p` is a ScribeProblem or a ScribeBatch; t a float or an array.  A float
+    t takes the same operations inline, with no calls beside np.exp.
     """
-    _, s = _clock(p, t)
-    o = p.dx2 + p.dv2 * s * s + 2.0 * p.dxdv * s
-    return o - p.radius_coeff * _sq(t - s)
+    if t.__class__ is float:
+        s = (1.0 - float(np.exp(-p.mu * t))) / p.mu
+        w2 = (t - s) ** 2
+    else:
+        _, s = _clock(p, t)
+        w2 = _sq(t - s)
+    return p.dx2 + p.dv2 * s * s + 2.0 * p.dxdv * s - p.radius_coeff * w2
 
 
 def gap_d1(p, t):
     """First time derivative of the gap."""
-    decay, s = _clock(p, t)
-    o1 = 2.0 * decay * (p.dv2 * s + p.dxdv)
-    p1 = 2.0 * p.radius_coeff * (t - s) * (1.0 - decay)
-    return o1 - p1
+    if t.__class__ is float:
+        decay = float(np.exp(-p.mu * t))
+        s = (1.0 - decay) / p.mu
+    else:
+        decay, s = _clock(p, t)
+    return 2.0 * decay * (p.dv2 * s + p.dxdv) - 2.0 * p.radius_coeff * (t - s) * (1.0 - decay)
 
 
 def gap_d2(p, t):
     """Second time derivative of the gap."""
-    decay, s = _clock(p, t)
-    o2 = 2.0 * decay * (p.dv2 * (2.0 * decay - 1.0) - p.mu * p.dxdv)
-    p2 = 2.0 * p.radius_coeff * (_sq(1.0 - decay) + p.mu * decay * (t - s))
-    return o2 - p2
+    if t.__class__ is float:
+        decay = float(np.exp(-p.mu * t))
+        s, q2 = (1.0 - decay) / p.mu, (1.0 - decay) ** 2
+    else:
+        decay, s = _clock(p, t)
+        q2 = _sq(1.0 - decay)
+    return 2.0 * decay * (p.dv2 * (2.0 * decay - 1.0) - p.mu * p.dxdv) \
+        - 2.0 * p.radius_coeff * (q2 + p.mu * decay * (t - s))
 
 
 def find_zero(f: Callable[[float], float], lo: float,
@@ -253,9 +264,11 @@ def find_zero(f: Callable[[float], float], lo: float,
         fx = f(x)
         if fx == 0.0:
             return x
-        if (fx < 0.0) != (fa < 0.0):
-            a, fa, b, fb = b, fb, a, fa
-        c, fc, a, fa = a, fa, x, fx
+        if (fx < 0.0) != (fa < 0.0):        # the change is in [a, x]: drop b
+            c, fc, b, fb = b, fb, a, fa
+        else:
+            c, fc = a, fa
+        a, fa = x, fx
         # fc has fa's sign and fb the other, so only fc - fa can be 0; then
         # phi is 1 and the step bisects
         xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
@@ -263,8 +276,12 @@ def find_zero(f: Callable[[float], float], lo: float,
         if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
             t = fa / (fb - fa) * fc / (fb - fc) \
                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        # min(max(t, tl), 1 - tl), nan kept, without the builtins' calls
         tl = 0.5 * tol / abs(b - a)
-        t = min(max(t, tl), 1.0 - tl)
+        if tl > t:
+            t = tl
+        if 1.0 - tl < t:
+            t = 1.0 - tl
     return 0.5 * (a + b)
 
 
@@ -325,9 +342,8 @@ def scribe_times(p: ScribeProblem) -> RootSet:
         raise DomainError("tangency times undefined for a thrustless drift: "
                           "the gap only touches zero, never crosses it")
     mu, cap, scale = p.mu, p.cap, p.scale
-    g = lambda t: gap(p, t)
-    g1 = lambda t: gap_d1(p, t)
-    g2 = lambda t: gap_d2(p, t)
+    # partial binds the module attributes as they are now, wrappers included
+    g, g1, g2 = partial(gap, p), partial(gap_d1, p), partial(gap_d2, p)
     t0 = 1e-13 / mu
 
     def one(lo: float = t0) -> RootSet:

@@ -28,7 +28,7 @@ from .dynamics import (Control, InfeasibleTargetError, damped_time, propagate,
 from .dominance import (CROSSING_BAND, CROSSING_SAMPLES, GameConfig,
                         _reach_rows, arrival_alignment, boundary_minima,
                         clearance_at, matched_index, r3_certificates, race,
-                        straight_runs)
+                        straight_run)
 from .geometry import Vec2
 from .scribe import find_zero, reach_times
 
@@ -221,13 +221,12 @@ def can_reach_target(cfg: GameConfig, times=None) -> Optional[Control]:
     Tries each arrival time of the target in increasing order (`times`, the
     attacker's expanded reach times there, solved here if not given) and
     returns the first control whose whole path stays clear of the defender's
-    reachable disc (`straight_runs`); None when no such run exists yet.
+    reachable disc (`straight_run`); None when no such run exists yet.
     """
     if times is None:
         times = reach_times(cfg.target, cfg.attacker, cfg.attacker_params).expanded()
-    xy = [(cfg.target.x, cfg.target.y)]
     return next((steer_to(cfg.attacker, cfg.attacker_params, cfg.target, t) for t in times
-                 if t > 0.0 and straight_runs(cfg, xy, [t])[0]), None)
+                 if t > 0.0 and straight_run(cfg, cfg.target.x, cfg.target.y, t)), None)
 
 
 def first_unsafe_crossing(cfg: GameConfig, ctrl: Control,

@@ -36,8 +36,9 @@ def make_cfg(xa, va, xd, vd, u_a=U_ATTACKER, u_d=U_DEFENDER, mu=MU,
 @pytest.fixture
 def steer_controls_calls(monkeypatch) -> list:
     """The argument tuples of every `steer_controls` call that `dominance`
-    makes (its straight runs' and L annotation's array passes, not
-    `steer_to`'s float calls) while the test runs."""
+    makes while the test runs: the array passes of `straight_runs` and of
+    the L annotation, and the float calls of `straight_run`, a target
+    check's run; not `steer_to`'s float calls."""
     import reachavoid.dominance
     calls = []
     original = reachavoid.dominance.steer_controls

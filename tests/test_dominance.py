@@ -35,12 +35,12 @@ class TestIsochronIntersections:
     sweeps it."""
 
     def test_zero_time_no_points(self, case3):
-        _, _, valid = intersection_points(case3, np.array([0.0]))
+        _, valid = intersection_points(case3, np.array([0.0]))
         assert not valid[0]
 
     def test_tangency_at_first_circumscribe(self, case3):
         out, _ = tangency_windows(case3)
-        plus, minus, valid = intersection_points(case3, np.array([out.first]))
+        (plus, minus), valid = intersection_points(case3, np.array([out.first]))
         assert valid[0]
         assert np.hypot(*(plus[0] - minus[0])) < 1e-5
 
@@ -48,7 +48,7 @@ class TestIsochronIntersections:
         out, inn = tangency_windows(case3)
         xa, xd = case3.attacker.pos, case3.defender.pos
         ts = np.linspace(out.first * 1.001, inn.first * 0.999, 17)
-        plus, minus, valid = intersection_points(case3, ts)
+        (plus, minus), valid = intersection_points(case3, ts)
         assert valid.all()
         for pts in (plus, minus):
             ratio = (np.hypot(pts[:, 0] - xa.x, pts[:, 1] - xa.y)
@@ -68,12 +68,14 @@ class TestIntersectionPoint:
                                  (d.pos.x, d.pos.y), (d.vel.x, d.vel.y)))
         for cfg in cfgs:
             out, inn = tangency_windows(cfg)
-            # the tangency ends, times inside and outside the window, t = 0
+            # the tangency ends, times inside and outside the window, t = 0,
+            # and boundary_minima's sample times
             ends = np.array([*out.times, *inn.times])
             ts = np.concatenate([ends, np.nextafter(ends, np.inf),
                                  np.nextafter(ends, 0.0), [0.0],
-                                 rng.uniform(0.0, 1.5 * inn.first, 64)])
-            plus, minus, valid = intersection_points(cfg, ts)
+                                 rng.uniform(0.0, 1.5 * inn.first, 64),
+                                 *(np.linspace(a, b, 512) for a, b in _active_intervals(cfg)[2])])
+            (plus, minus), valid = intersection_points(cfg, ts)
             assert 0 < valid.sum() < len(ts)
             for side, rows in ((1.0, plus), (-1.0, minus)):
                 point = _l_point(cfg, side)
@@ -82,7 +84,6 @@ class TestIntersectionPoint:
                         x, y, ok, _ = point(time)
                         assert (x, y) == (rows[i, 0], rows[i, 1])
                         assert ok == valid[i]
-
 
     def test_slope_has_the_sign_of_the_payoffs_derivative(self, case1, special1,
                                                           overtake):

@@ -16,7 +16,7 @@ from reachavoid import (AttackerPolicy, Control, DefenderPolicy,
                         run, steer_to, strategy_one, tangency_windows)
 import reachavoid.engine
 from reachavoid import dominance, strategies
-from reachavoid.dominance import straight_runs
+from reachavoid.dominance import straight_run, straight_runs
 from reachavoid.engine import _dists
 from reachavoid.scenario_io import TRACE_COLUMNS, loads, trace_to_csv
 
@@ -132,7 +132,7 @@ class TestEventMargins:
             for h in hs + rng.uniform(0.0, dt, 8).tolist():
                 a = propagate(cfg.attacker, pa, ca, h).pos
                 d = propagate(cfg.defender, pd, cd, h).pos
-                assert _dists(cfg, cfg.attacker, cfg.defender, ca, cd, h) \
+                assert _dists(cfg, ca, cd)(h) \
                     == ((a - d).norm(), (a - cfg.target).norm())
 
 
@@ -501,11 +501,13 @@ class TestOneFallback:
 
 class TestTargetRunPasses:
     """A target run whose end the defender's disc covers at arrival is
-    decided without sampling: `straight_runs` calls `steer_controls` only
-    for runs with an open end.  Pinned per bundled game are the calls of
-    `dominance.steer_controls`; special1's one call is `_annotate_segments`,
-    for the region strategy's certificate, and each of case3's is a target
-    run's control, searched with float `first_zero`."""
+    decided without sampling: `straight_runs` and its float twin
+    `straight_run`, which the target checks call, call `steer_controls`
+    only for runs with an open end.  Pinned per bundled game are the calls
+    of `dominance.steer_controls`; special1's one call is
+    `_annotate_segments`, for the region strategy's certificate, and each
+    of case3's is a target run's float call, searched with float
+    `first_zero`."""
 
     @pytest.mark.parametrize("game, calls", [
         ("case1", 0), ("case2", 0), ("case3", 3), ("special1", 1), ("special2", 0)])
@@ -513,28 +515,37 @@ class TestTargetRunPasses:
         run(record.GAMES[game]())
         assert len(steer_controls_calls) == calls
 
-    def test_a_target_check_is_one_float_search(self, monkeypatch):
-        """can_reach_target sends straight_runs one run per arrival time it
-        tries, and a single run takes float first_zero over [0, t], which
-        costs less than an array search of one row.  Over the first 16
-        seed-1 random games, a try makes that one call exactly when its end
-        is open and steer_to accepts it, and no game searches on arrays."""
-        searches, tries = [], []
+    @staticmethod
+    def target_checks(monkeypatch, searches) -> list[tuple]:
+        """(cfg, x, y, t, result, searches made) of every straight_run that
+        can_reach_target makes over the first 16 seed-1 random games; each
+        `first_zero` call of `dominance` appends its [a, b] to `searches`."""
+        tries = []
 
-        def tried(cfg, points, times):
+        def tried(cfg, x, y, t):
             n = len(searches)
-            out = straight_runs(cfg, points, times)
-            tries.append((cfg, points, times, searches[n:]))
+            out = straight_run(cfg, x, y, t)
+            tries.append((cfg, x, y, t, out, searches[n:]))
             return out
 
-        monkeypatch.setattr(strategies, "straight_runs", tried)
+        monkeypatch.setattr(strategies, "straight_run", tried)
         monkeypatch.setattr(dominance, "first_zero",
                             lambda *args: searches.append(args[1:3]) or first_zero(*args))
-        monkeypatch.setattr(dominance, "zeros_found",
-                            lambda *args: pytest.fail("an array search in a game"))
         for sc in random_games(1, 16):
             run(sc)
-        for cfg, [(x, y)], [t], made in tries:
+        monkeypatch.undo()
+        return tries
+
+    def test_a_target_check_is_one_float_search(self, monkeypatch):
+        """can_reach_target tests each arrival time it tries with
+        straight_run, `straight_runs`' rule on floats, which takes float
+        first_zero over [0, t].  Over the first 16 seed-1 random games, a
+        try makes that one call exactly when its end is open and steer_to
+        accepts it, and no game searches on arrays."""
+        monkeypatch.setattr(dominance, "zeros_found",
+                            lambda *args: pytest.fail("an array search in a game"))
+        tries = self.target_checks(monkeypatch, [])
+        for cfg, x, y, t, _, made in tries:
             disc = isochron(cfg.defender, cfg.defender_params, t)
             try:
                 steer_to(cfg.attacker, cfg.attacker_params, Vec2(x, y), t)
@@ -543,3 +554,16 @@ class TestTargetRunPasses:
                 continue
             assert made == ([(0.0, t)] if (Vec2(x, y) - disc.center).norm() > disc.radius else [])
         assert 0 < sum(bool(made) for *_, made in tries) < len(tries)
+
+    def test_a_float_check_equals_the_array_rule(self, monkeypatch):
+        """Every target check of the first 16 seed-1 random games gives the
+        boolean of `straight_runs` on the same run alone and batched with a
+        second copy, which an open end sends to the array search."""
+        searches = []
+        tries = self.target_checks(monkeypatch, searches)
+        assert sum(bool(made) for *_, made in tries) > 100
+        for cfg, x, y, t, out, _ in tries:
+            assert type(out) is bool
+            assert straight_runs(cfg, [(x, y)], [t]).tolist() == [out]
+            assert straight_runs(cfg, [(x, y)] * 2, [t, t]).tolist() == [out, out]
+        assert 0 < sum(out for *_, out, _ in tries) < len(tries)

@@ -104,6 +104,64 @@ class TestGap:
             assert g_in - g_out >= -1e-12
 
 
+def simd_features() -> str:
+    """numpy's version and the SIMD features it found on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:     # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return f"numpy {np.__version__}, SIMD: " + " ".join(
+        name for name, found in __cpu_features__.items() if found)
+
+
+class TestFloatKernels:
+    """The float paths of the replanning step (the gap family, `_l_point`,
+    `straight_run`) take np.exp, np.hypot, np.cos and np.sin on Python
+    floats and must equal the array paths bit for bit."""
+
+    def test_numpy_rounds_a_float_as_an_array_element(self):
+        # the premise of every float path: seeded inputs over the games' ranges
+        rng = np.random.default_rng(97)
+        n = 100_000
+        tiny = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-14.0, 0.0, n)
+        cases = {
+            np.exp: [np.concatenate([rng.uniform(-80.0, 0.0, n), -np.abs(tiny)])],
+            np.hypot: [np.concatenate([rng.uniform(-20.0, 20.0, n), tiny]),
+                       np.concatenate([rng.uniform(-20.0, 20.0, n), tiny[::-1]])],
+            np.cos: [rng.uniform(-2.0 * math.pi, 2.0 * math.pi, n)],
+            np.sin: [rng.uniform(-2.0 * math.pi, 2.0 * math.pi, n)],
+        }
+        for fn, args in cases.items():
+            whole = fn(*args).tolist()
+            apart = [float(fn(*xs)) for xs in zip(*(a.tolist() for a in args))]
+            bad = sum(w != a for w, a in zip(whole, apart))
+            assert bad == 0, f"{fn.__name__} rounds {bad} floats unlike array " \
+                             f"elements ({simd_features()})"
+
+    def test_gap_family_on_floats_equals_the_batch(self):
+        """gap, gap_d1 and gap_d2 of a ScribeProblem at a float t against the
+        same problems as a ScribeBatch at an array t: 2,000 seeded problems
+        of both modes and reach-time phantoms, at t0 = 1e-13/mu, at the
+        bracket's expansion starts, inside the bracket and near its cap."""
+        pairs = random_pairs(67, 700, 1e-3)
+        problems = [ScribeProblem(*pair, mode) for pair in pairs for mode in ScribeMode]
+        rng = np.random.default_rng(68)
+        while len(problems) < 2000:
+            mu, u_max = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
+            st = random_player(rng, mu, u_max, box=3.0)
+            problems.append(phantom(Vec2(*rng.uniform(-3.0, 3.0, 2)), st,
+                                    PlayerParams(u_max=u_max, mu=mu)))
+        batch = ScribeBatch.of(problems)
+        mu, cap = batch.mu, batch.cap
+        columns = [1e-13 / mu, 1.0 / mu, 2e-13 / mu, np.nextafter(cap, 0.0), cap,
+                   cap * 1.0000001, *(cap * rng.uniform(0.0, 1.0, len(mu)) for _ in range(4))]
+        for f in (gap, gap_d1, gap_d2):
+            for t in columns:
+                floats = [f(p, ti) for p, ti in zip(problems, t.tolist())]
+                assert all(type(v) is float for v in floats)
+                assert f(batch, t).tolist() == floats, f.__name__
+
+
 class TestFindZero:
     def test_linear(self):
         assert find_zero(lambda t: t - 1.0, 0.0, 2.0, tol=1e-12) == pytest.approx(1.0, abs=1e-11)
