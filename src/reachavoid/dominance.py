@@ -154,7 +154,6 @@ def intersection_points(cfg: GameConfig, ts: np.ndarray):
     valid = apart & (d <= ra + rd) & (d >= np.abs(ra - rd))
     dd = np.where(apart, d, 1.0)
     a = (dd * dd + ra2 - rd * rd) / (2.0 * dd)
-    # np.clip with no upper bound is this np.maximum
     h = np.sqrt(np.maximum(ra2 - a * a, 0.0))
     ux, uy = ux / dd, uy / dd
     mx, my, hux, huy = ax + a * ux, ay + a * uy, h * ux, h * uy
@@ -498,24 +497,23 @@ def straight_runs(cfg: GameConfig, points, times) -> np.ndarray:
     BOUNDARY_SLACK outside the attacker's disc, keeping f(t) just above 0: the
     conservative side).  Else its clearance f, with f(0) > 0 and |f'| <= lip =
     cap_A + cap_D (with SPEED_SLACK), must have no zero first_zero finds on
-    [0, t]: one array search (zeros_found) for many runs, floats for one
-    (`straight_run` is this whole test on floats)."""
+    [0, t]: one array search (zeros_found) for many open-end runs, and
+    `straight_run`, this whole test on floats, for one."""
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
     t = np.array(times, dtype=float)
     safe = np.zeros(len(t), dtype=bool)
     cx, cy, r = isochron_xyr(cfg.defender, cfg.defender_params, t, damped_time(cfg.mu, t))
     rows = np.flatnonzero(np.hypot(x - cx, y - cy) > r)
-    if not len(rows):
+    if len(rows) == 1:
+        i = rows[0]
+        safe[i] = straight_run(cfg, float(x[i]), float(y[i]), float(t[i]))
+    if len(rows) < 2:
         return safe
     u, theta, ok = steer_controls(cfg.attacker, cfg.attacker_params, x[rows], y[rows], t[rows])
     rows, u, theta, t = rows[ok], u[ok], theta[ok], t[rows][ok]
     hx, hy = np.cos(theta), np.sin(theta)
-    if len(rows) == 1:
-        run = _clearance(cfg, float(u[0]), float(hx[0]), float(hy[0]))
-        safe[rows] = first_zero(run, 0.0, float(t[0]), _run_lip(cfg)) is None
-    else:
-        safe[rows] = ~zeros_found(lambda i, s: _clearance(cfg, u[i], hx[i], hy[i])(s),
-                                  np.zeros(len(t)), t, _run_lip(cfg))
+    safe[rows] = ~zeros_found(lambda i, s: _clearance(cfg, u[i], hx[i], hy[i])(s),
+                              np.zeros(len(t)), t, _run_lip(cfg))
     return safe
 
 

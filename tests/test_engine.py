@@ -16,7 +16,7 @@ from reachavoid import (AttackerPolicy, Control, DefenderPolicy,
                         run, steer_to, strategy_one, tangency_windows)
 import reachavoid.engine
 from reachavoid import dominance, strategies
-from reachavoid.dominance import straight_run, straight_runs
+from reachavoid.dominance import straight_runs
 from reachavoid.engine import _dists
 from reachavoid.scenario_io import TRACE_COLUMNS, loads, trace_to_csv
 
@@ -524,7 +524,7 @@ class TestTargetRunPasses:
 
         def tried(cfg, x, y, t):
             n = len(searches)
-            out = straight_run(cfg, x, y, t)
+            out = dominance.straight_run(cfg, x, y, t)
             tries.append((cfg, x, y, t, out, searches[n:]))
             return out
 
@@ -557,7 +557,8 @@ class TestTargetRunPasses:
 
     def test_a_float_check_equals_the_array_rule(self, monkeypatch):
         """Every target check of the first 16 seed-1 random games gives the
-        boolean of `straight_runs` on the same run alone and batched with a
+        boolean of `straight_runs` on the same run alone, whose open end it
+        hands to straight_run after its array end test, and batched with a
         second copy, which an open end sends to the array search."""
         searches = []
         tries = self.target_checks(monkeypatch, searches)
