@@ -48,7 +48,7 @@ from .scribe import (RootSet, ScribeMode, ScribeProblem, find_zero,
 
 # default number of sweep samples along the full tangency window
 SWEEP_SAMPLES = 2048
-# sweep samples of L for the defender's reach-time index (one batch solve)
+# sweep samples of L for the pocket certificate's runs of t_D2
 ANNOTATE_SAMPLES = 600
 # trajectory samples of the scan for a planned run's first interceptable point
 CROSSING_SAMPLES = 800
@@ -239,22 +239,6 @@ def capture_boundary(cfg: GameConfig, samples: int = SWEEP_SAMPLES) -> CaptureBo
     return CaptureBoundary(t_out=t_out, t_in=t_in, segments=tuple(segments))
 
 
-def matched_index(rows: np.ndarray, t: np.ndarray, alignment: np.ndarray) -> np.ndarray:
-    """Reach-time index (0 outside the MRR, else 1..3) that each time t[i]
-    matches in rows[i], a point's expanded reach times padded with nan: the
-    slot of the merged root nearest to t[i].  A root of multiplicity 2 or
-    more holds slots base..base+mult-1, base 1 or 2; the sign of the arrival
-    alignment (velocity dotted with heading) picks one: negative the middle
-    slot 2, else the sweeping-outward slot 1 or 3.
-    """
-    times, mults = merge_times(rows)
-    # the columns of a merged root tie, so argmin picks its first column
-    best = np.where(mults > 0, np.abs(times - t[:, None]), np.inf).argmin(axis=1)
-    base, mult = best + 1, mults[np.arange(len(best)), best]
-    slot = np.where(mult == 1, base, np.where(alignment < 0.0, 2, 2 * base - 1))
-    return np.where((mults > 0).sum(axis=1) > 1, slot, 0)
-
-
 def arrival_alignment(state: PlayerState, params: PlayerParams, point: Vec2,
                       t: float) -> float:
     """Terminal velocity component along the heading for the arrival at t."""
@@ -273,16 +257,20 @@ def _alignment(state: PlayerState, params: PlayerParams, u, theta, t):
     return vx * hx + vy * hy
 
 
-def _annotate_segments(cfg: GameConfig, segments) -> list[np.ndarray]:
-    """The defender's matched reach-time index at the vertices of each segment
-    of L, from one batch solve and one alignment pass (0 where steer_to rejects)."""
+def _middle_arrivals(cfg: GameConfig, segments) -> list[np.ndarray]:
+    """Mask of the vertices of each segment of L that the defender reaches at
+    its middle reach time.  A vertex reached at sweep time t is
+    p = c(t) + R(t) e on the defender's isochron, so its reach gap
+    G(s) = |c(s) - p|^2 - R(s)^2 has G'(t) = -2 R(t) (e . v) with v the
+    arrival velocity: p leaves the disc at t, its middle time, exactly where
+    the arrival alignment e . v is negative.  One alignment pass over all
+    segments; False where steer_to rejects the vertex."""
     state, params = cfg.defender, cfg.defender_params
     pts = np.concatenate([seg.points for seg in segments])
     t = np.concatenate([seg.params for seg in segments])
     u, theta, ok = steer_controls(state, params, *pts.T, t)
-    align = np.where(ok, _alignment(state, params, u, theta, t), 0.0)
-    index = matched_index(reach_times_players(pts, [(state, params)])[0], t, align)
-    return np.split(index, np.cumsum([len(seg) for seg in segments])[:-1])
+    middle = ok & (_alignment(state, params, u, theta, t) < 0.0)
+    return np.split(middle, np.cumsum([len(seg) for seg in segments])[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +387,12 @@ def _ring_cut(ring: np.ndarray, i: int, j: int, forward: bool) -> np.ndarray:
     return ring[idx]
 
 
-def _defender_time_split(segments, index_per_segment):
-    """Group annotated L vertices into maximal runs matched to t_D2."""
+def _defender_time_split(segments, middle_per_segment):
+    """Group L vertices into maximal runs matched to t_D2."""
     runs = []
-    for seg, index in zip(segments, index_per_segment):
+    for seg, middle in zip(segments, middle_per_segment):
         for side in (1.0, -1.0):
-            idx = np.flatnonzero((seg.sides == side) & (index == 2))
+            idx = np.flatnonzero((seg.sides == side) & middle)
             runs += [seg.points[chunk] for chunk in
                      np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1) if len(chunk) >= 3]
     return runs
@@ -439,7 +427,7 @@ def _cond2_components(cfg: GameConfig) -> list[R3Component]:
     if cfg.defender.vel.norm() == 0.0:
         return []
     segments = capture_boundary(cfg, ANNOTATE_SAMPLES).segments
-    runs = segments and _defender_time_split(segments, _annotate_segments(cfg, segments))
+    runs = segments and _defender_time_split(segments, _middle_arrivals(cfg, segments))
     if not runs:
         return []
     ring = mrr_boundary(cfg.defender, cfg.defender_params).polygon()

@@ -201,14 +201,15 @@ class _Step:
 
     @cached_property
     def plan(self) -> TerminalPlan | Exception:
-        """The equal-time TerminalPlan, or the exception of a failed plan.
+        """The equal-time TerminalPlan, or the exception of a failed plan,
+        kept without its traceback, whose frames would hold the step.
         Computing it records a plan switch and moves the tracker's point."""
         tracker = self.tracker
         try:
             plan = choose_plan(self.cfg, tracker.point, self.sc.plan_switch_margin,
                                (self.attacker_times, self.defender_times))
         except (AttackerWinsError, InfeasibleTargetError) as exc:
-            return exc
+            return exc.with_traceback(None)
         if tracker.point is not None \
                 and (plan.point - tracker.point).norm() > PLAN_JUMP_DIST:
             tracker.switches.append((self.t, plan.point))
@@ -317,6 +318,8 @@ def _act(who: str, policy, step: _Step, *args) -> Control:
         ctrl = policy(step, *args)
     except (AttackerWinsError, InfeasibleTargetError) as exc:
         step.tracker.notes.append(f"t={step.t:.6f} {who} plan failed ({exc}); pure pursuit")
+        # a re-raised stored plan failure took a traceback through the step
+        exc.with_traceback(None)
         ctrl = None
     return pure_pursuit(step.cfg, who) if ctrl is None else ctrl
 

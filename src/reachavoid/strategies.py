@@ -27,15 +27,13 @@ from .dynamics import (Control, InfeasibleTargetError, damped_time, propagate,
                        steer_to)
 from .dominance import (CROSSING_BAND, CROSSING_SAMPLES, GameConfig,
                         _reach_rows, arrival_alignment, boundary_minima,
-                        clearance_at, matched_index, r3_certificates, race,
+                        clearance_at, r3_certificates, race,
                         straight_run)
 from .geometry import Vec2
 from .scribe import find_zero, reach_times
 
 # payoff improvement required before a tracked plan jumps to a different dip
 PLAN_SWITCH_MARGIN = 5e-3
-# residual bound for the terminal Hamiltonian condition
-H_RESIDUAL_TOL = 1e-6
 
 
 class AttackerWinsError(RuntimeError):
@@ -133,13 +131,16 @@ def hamiltonian_check(cfg: GameConfig, point: Vec2) -> Optional[bool]:
     """Terminal necessary condition at a simultaneous-reach point.
 
     The matched reach times must come from the same branch category of the
-    time field ({first/last/only} together, or both the middle time), and the
-    two arrival alignments (terminal speed along heading, whose sign encodes
-    the branch) must agree.  Returns None when either alignment degenerates,
-    i.e. the time-field gradient does not exist at the point.
+    time field ({first/last/only} together, or both the middle time).  The
+    sign of a player's arrival alignment (terminal speed along heading)
+    encodes its branch: at its reach time t the reach gap has slope
+    -2 R(t) times the alignment, so the point leaves the player's disc, the
+    middle time, exactly where the alignment is negative.  The condition
+    holds where the two signs agree.  Returns None when either alignment
+    degenerates, i.e. the time-field gradient does not exist at the point.
     """
-    rows = _reach_rows(cfg, point)
-    ea, ed = ([t for t in row if not math.isnan(t)] for row in rows.tolist())
+    ea, ed = ([t for t in row if not math.isnan(t)]
+              for row in _reach_rows(cfg, point).tolist())
     gapv, t_a, t_d = min((abs(t_a - t_d), t_a, t_d) for t_a in ea for t_d in ed)
     t_match = 0.5 * (t_a + t_d)
     if gapv > 1e-6 * (1.0 + t_match):
@@ -151,10 +152,7 @@ def hamiltonian_check(cfg: GameConfig, point: Vec2) -> Optional[bool]:
                       cfg.defender_params.speed_cap)
     if abs(s_a) <= 1e-9 * speed_scale or abs(s_d) <= 1e-9 * speed_scale:
         return None
-    j, k = matched_index(rows, np.array([t_a, t_d]), np.array([s_a, s_d])).tolist()
-    compatible = (j == 2) == (k == 2)
-    residual = abs(math.copysign(1.0, s_a) - math.copysign(1.0, s_d))
-    return bool(compatible and residual <= H_RESIDUAL_TOL)
+    return (s_a < 0.0) == (s_d < 0.0)
 
 
 def pure_pursuit(cfg: GameConfig, who: str) -> Control:

@@ -37,7 +37,7 @@ def make_cfg(xa, va, xd, vd, u_a=U_ATTACKER, u_d=U_DEFENDER, mu=MU,
 def steer_controls_calls(monkeypatch) -> list:
     """The argument tuples of every `steer_controls` call that `dominance`
     makes while the test runs: the array passes of `straight_runs` and of
-    the L annotation, and the float calls of `straight_run`, a target
+    the pocket certificate's middle arrivals on L, and the float calls of `straight_run`, a target
     check's run; not `steer_to`'s float calls."""
     import reachavoid.dominance
     calls = []

@@ -16,16 +16,15 @@ from reachavoid import (Control, DomainError, InfeasibleTargetError,
 from reachavoid import dominance, scribe
 from reachavoid.dominance import (ANNOTATE_SAMPLES, SPEED_SLACK, BoundarySegment,
                                   _active_intervals, _alignment,
-                                  _annotate_segments,
                                   _dip_candidates, _l_point,
-                                  arrival_alignment,
-                                  clearance_at, intersection_points,
-                                  matched_index, race,
+                                  _middle_arrivals, arrival_alignment,
+                                  clearance_at, intersection_points, race,
                                   straight_runs)
-from reachavoid.scribe import zeros_found
-from reachavoid.dynamics import steer_controls
+from reachavoid.scribe import ScribeMode, ScribeProblem, gap_d1, zeros_found
+from reachavoid.dynamics import damped_time, isochron_xyr, steer_controls
 from reachavoid.geometry import point_in_polygon
 
+import oracle
 from conftest import make_cfg, random_player
 from golden import record
 
@@ -210,12 +209,31 @@ class TestOrderFlip:
 
 
 class TestMatchedIndex:
+    """The defender's middle reach time at a vertex of L is read from the
+    sign of its arrival alignment, with no reach-time solve."""
+
     def test_indices_along_annotated_boundary(self, special1):
-        cb = capture_boundary(special1, ANNOTATE_SAMPLES)
-        ks = np.concatenate(_annotate_segments(special1, cb.segments))
+        segments = capture_boundary(special1, ANNOTATE_SAMPLES).segments
+        middle = _middle_arrivals(special1, segments)
+        assert [mask.shape for mask in middle] == [(len(seg),) for seg in segments]
+        assert all(mask.dtype == bool for mask in middle)
         # the defender's middle-time piece exists in this geometry
-        assert (ks == 2).sum() > 50
-        assert set(np.unique(ks)).issubset({0, 1, 2, 3})
+        assert np.concatenate(middle).sum() > 50
+
+    def test_reach_gap_slope_is_the_alignment(self):
+        # at a point p = c(t) + R(t) e of a player's isochron, the reach
+        # problem's gap |c(s) - p|^2 - R(s)^2 has slope -2 R(t) (e . v) at t
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            mu, u = rng.uniform(0.3, 3.0, 2).tolist()
+            st, par = random_player(rng, mu, u), PlayerParams(u_max=u, mu=mu)
+            t, phi = float(rng.uniform(1e-3, 4.0)), float(rng.uniform(-np.pi, np.pi))
+            cx, cy, r = isochron_xyr(st, par, t, damped_time(mu, t))
+            point = Vec2(cx + r * math.cos(phi), cy + r * math.sin(phi))
+            align = arrival_alignment(st, par, point, t)
+            problem = ScribeProblem(point - st.pos, -st.vel, mu, 0.0, u,
+                                    ScribeMode.CIRCUMSCRIBE)
+            assert gap_d1(problem, t) == pytest.approx(-2.0 * r * align, rel=1e-9)
 
     def test_array_alignment_equals_float_calls(self, special1):
         # the defender's arrival alignment at L vertices and at random
@@ -243,30 +261,35 @@ class TestMatchedIndex:
 
     @pytest.mark.parametrize("game", ["special1", "case2", "seed37", "seed77"])
     def test_array_annotation_equals_per_vertex_rule(self, game, request):
+        # the middle arrivals are the L vertices of matched index 2
         cfg = (record._seeded_game(int(game[4:]))[0] if game.startswith("seed")
                else request.getfixturevalue(game))
         st, par = cfg.defender, cfg.defender_params
         segments = list(capture_boundary(cfg, ANNOTATE_SAMPLES).segments)
-        # extra vertices that steer_to rejects: a far point, and points of the
-        # defender's MRR boundary 30% of the way from their first reach time
-        # to their last, where the alignment picks a double root's slot
+        # extra vertices, some of which steer_to rejects: a far point, and
+        # points of the defender's MRR boundary 30% of the way from their
+        # first reach time to their last
         ring = mrr_boundary(st, par).polygon()[::16]
         rows = reach_times_many(ring, st, par)[:, [0, 2]]
         three = ~np.isnan(rows[:, 1])
         pts = np.vstack([ring[three], [[40.0, -30.0]]])
         ts = np.append(rows[three] @ [0.7, 0.3], 1.0)
-        segments.append(BoundarySegment(0.0, 0.0, pts, ts, np.ones(len(ts))))
-        rejected = 0
+        rejected = []
         for (x, y), t in zip(pts.tolist(), ts.tolist()):
             try:
                 steer_to(st, par, Vec2(x, y), t)
+                rejected.append(False)
             except InfeasibleTargetError:
-                rejected += 1
-        assert rejected >= 2
-        # all segments in one batch, the extra one included
-        for seg, index in zip(segments, _annotate_segments(cfg, segments)):
-            assert index.shape == (len(seg),)
-            assert index.tolist() == record.vertex_indices(seg, st, par)
+                rejected.append(True)
+        assert sum(rejected) >= 2
+        # all segments in one pass, the extra one included
+        extra = BoundarySegment(0.0, 0.0, pts, ts, np.ones(len(ts)))
+        *middle, middle_extra = _middle_arrivals(cfg, segments + [extra])
+        for seg, mask in zip(segments, middle):
+            assert mask.shape == (len(seg),)
+            ref = np.array(record.vertex_indices(seg, st, par)) == 2
+            assert mask.tolist() == ref.tolist()
+        assert not middle_extra[rejected].any()
 
     def test_alignment_disambiguates_double_roots(self, params):
         st = PlayerState(Vec2(0, 0), Vec2(1, 0))
@@ -274,8 +297,7 @@ class TestMatchedIndex:
         rows = reach_times_many(np.array([[x_s.x, x_s.y]]), st, params)
         t_pair = math.log(2.0)
         s = arrival_alignment(st, params, x_s, t_pair)
-        idx = matched_index(rows, np.array([t_pair]), np.array([s]))
-        assert idx.tolist() in ([2], [3])
+        assert oracle.matched_index(rows[0].tolist(), t_pair, s) in (2, 3)
 
     def test_negative_time_is_a_domain_error(self, special1):
         # steer_to reaches the start at any t <= 0 and rejects other points

@@ -449,6 +449,28 @@ class TestOneStepOneSolve:
         assert set(plans.values()) == {1}
         assert solves and set(solves.values()) == {1}
 
+    @pytest.mark.parametrize("game", ["case3", "intercept", "case3_unraised"])
+    def test_failed_plans_leave_no_garbage(self, game, case3):
+        """A failed plan's exception is kept without a traceback, whose frames
+        would hold the step, and handled without one after it is raised
+        again: a game whose plans fail leaves nothing to the cyclic
+        collector.  case3's plan fails from t = 0.8; against a pure-pursuit
+        attacker its intercepting defender reads the failed plan without
+        raising it, so no note records the failure there."""
+        sc = (random_games(1, 4)[3] if game == "intercept" else
+              Scenario(cfg=case3) if game == "case3" else
+              Scenario(cfg=case3, attacker_policy=AttackerPolicy.PURE_PURSUIT,
+                       defender_policy=DefenderPolicy.INTERCEPT_R3))
+        gc.collect()
+        gc.disable()
+        try:
+            trace = run(sc)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0
+        assert (game == "case3_unraised") != any("plan failed" in n for n in trace.notes)
+
 
 class TestOneFallback:
     """A point that `steer_to` rejects, or a locked arrival time already past,
@@ -505,7 +527,7 @@ class TestTargetRunPasses:
     `straight_run`, which the target checks call, call `steer_controls`
     only for runs with an open end.  Pinned per bundled game are the calls
     of `dominance.steer_controls`; special1's one call is
-    `_annotate_segments`, for the region strategy's certificate, and each
+    `_middle_arrivals`, for the region strategy's certificate, and each
     of case3's is a target run's float call, searched with float
     `first_zero`."""
 

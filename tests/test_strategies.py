@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,9 +15,11 @@ from reachavoid import (AttackerWinsError, Control, InfeasibleTargetError,
                         hamiltonian_check, plan_for_point, propagate,
                         pure_pursuit, r3_certificates, reach_times, run,
                         steer_to, strategy_one)
-from reachavoid.dominance import CROSSING_SAMPLES, clearance_at
+from reachavoid.dominance import (CROSSING_SAMPLES, _reach_rows, arrival_alignment,
+                                  clearance_at)
 from reachavoid.strategies import first_unsafe_crossing
 
+import oracle
 from conftest import make_cfg, random_player
 
 
@@ -76,6 +79,31 @@ class TestHamiltonianCheck:
     def test_rejects_points_off_the_boundary(self, case3):
         with pytest.raises(ValueError):
             hamiltonian_check(case3, Vec2(5.0, 5.0))
+
+    def test_verdict_is_the_matched_index_rule(self):
+        # at the boundary minima of the bundled and of seeded games, the
+        # alignment signs decide as the matched indices of tests/oracle.py
+        # do: both players at the middle reach time (index 2), or neither
+        cfgs = [GAMES[name]().cfg for name in
+                ("case1", "case2", "case3", "special1", "special2")]
+        cfgs += [record._seeded_game(seed)[0] for seed in range(192)]
+        verdicts = Counter()
+        for cfg in cfgs:
+            players = ((cfg.attacker, cfg.attacker_params),
+                       (cfg.defender, cfg.defender_params))
+            for m in boundary_minima(cfg):
+                h = hamiltonian_check(cfg, m.point)
+                verdicts[h] += 1
+                if h is None:
+                    continue
+                rows = [[t for t in row if not math.isnan(t)]
+                        for row in _reach_rows(cfg, m.point).tolist()]
+                _, *pair = min((abs(t_a - t_d), t_a, t_d)
+                               for t_a in rows[0] for t_d in rows[1])
+                middle = [oracle.matched_index(row, t, arrival_alignment(st, par, m.point, t)) == 2
+                          for row, t, (st, par) in zip(rows, pair, players)]
+                assert h == (middle[0] == middle[1])
+        assert verdicts[True] > 0 and verdicts[False] >= 10
 
     def test_true_across_random_at_rest_instances(self):
         rng = np.random.default_rng(51)
